@@ -107,13 +107,8 @@ def realign(G: np.ndarray) -> np.ndarray:
     return G.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
-def _singular_values(M: np.ndarray) -> np.ndarray:
-    vals = np.abs(eigenvalues(dagger(M) @ M))
-    return np.sqrt(np.sort(vals)[::-1])
-
-
 def _is_rank_one(M: np.ndarray, ratio: float = 1e-6) -> bool:
-    s = _singular_values(M)
+    s = np.linalg.svd(M, compute_uv=False)
     return s[0] > 0 and s[1] <= ratio * s[0]
 
 

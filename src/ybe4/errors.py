@@ -12,7 +12,11 @@ class SingularMatrix(Ybe4Error):
 
 
 class NonConvergence(Ybe4Error):
-    """An iterative routine exhausted its iteration budget."""
+    """A numerical result failed its own check.
+
+    Raised, e.g., for an eigenvalue that does not root the characteristic
+    polynomial.
+    """
 
 
 class SizeExceeded(Ybe4Error):

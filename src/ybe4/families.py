@@ -230,11 +230,10 @@ def _unit(rng: np.random.Generator) -> complex:
 
 
 def _cond2(Q: np.ndarray) -> float:
-    s = np.abs(eigenvalues(dagger(Q) @ Q))
-    lo = s.min()
-    if lo <= 0:
+    s = np.linalg.svd(Q, compute_uv=False)
+    if s[-1] <= 0:
         return np.inf
-    return float(np.sqrt(s.max() / lo))
+    return float(s[0] / s[-1])
 
 
 def _sample_q_gram_diagonal(rng: np.random.Generator) -> np.ndarray:

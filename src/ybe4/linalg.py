@@ -2,10 +2,12 @@
 
 Everything here operates on small (dim <= 8) complex matrices stored as
 ``numpy.ndarray`` with dtype complex128.  Matrix products, Kronecker
-products and norms defer to numpy; inversion, characteristic polynomials
-and eigenvalues are computed by explicit small-scale algorithms so their
-failure modes (singular pivots, stalled iterations) surface as typed
-errors instead of silent garbage.
+products and norms defer to numpy.  Inversion is explicit Gauss-Jordan, so
+a singular pivot surfaces as SingularMatrix.  Eigenvalue roots come from
+LAPACK; they are then merged into exact multiple roots where they cluster
+(relative to the matrix scale) and checked against the independently
+computed Faddeev-LeVerrier characteristic polynomial, so a root that does
+not solve it surfaces as NonConvergence instead of silent garbage.
 """
 
 from __future__ import annotations
@@ -133,100 +135,10 @@ def _poly_eval(coeffs: np.ndarray, z: complex) -> tuple[complex, complex]:
     return p, dp
 
 
-def _roots_quadratic(b: complex, c: complex) -> tuple[complex, complex]:
-    """Roots of z^2 + b z + c, computed with the cancellation-safe product form."""
-    disc = np.sqrt(b * b - 4.0 * c + 0j)
-    # pick the sign that avoids subtracting nearly equal quantities
-    if (np.conj(b) * disc).real > 0:
-        disc = -disc
-    r1 = (-b + disc) / 2.0
-    if r1 == 0:
-        return r1, -b - r1
-    return r1, c / r1
-
-
-def _qr_sweep(B: np.ndarray, mu: complex) -> np.ndarray:
-    """One explicit shifted QR step on a Hessenberg block: B - mu*I = QR, return RQ + mu*I."""
-    m = B.shape[0]
-    W = B - mu * np.eye(m)
-    rot: list[tuple[complex, complex]] = []
-    for j in range(m - 1):
-        x, y = W[j, j], W[j + 1, j]
-        nrm = np.hypot(abs(x), abs(y))
-        if nrm == 0.0:
-            cs, sn = 1.0 + 0j, 0.0 + 0j
-        else:
-            cs, sn = x / nrm, y / nrm
-        rot.append((cs, sn))
-        top = np.conj(cs) * W[j, j:] + np.conj(sn) * W[j + 1, j:]
-        bot = -sn * W[j, j:] + cs * W[j + 1, j:]
-        W[j, j:], W[j + 1, j:] = top, bot
-    for j, (cs, sn) in enumerate(rot):
-        left = W[:, j] * cs + W[:, j + 1] * sn
-        right = -W[:, j] * np.conj(sn) + W[:, j + 1] * np.conj(cs)
-        W[:, j], W[:, j + 1] = left, right
-    return W + mu * np.eye(m)
-
-
-def _qr_eigenvalues(H: np.ndarray, max_sweeps: int) -> list[complex]:
-    """Eigenvalues of an upper Hessenberg matrix by shifted complex QR iteration.
-
-    Uses the Wilkinson shift (eigenvalue of the trailing 2x2 block closest
-    to the corner entry), an occasional exceptional shift to break cycles,
-    and deflates converged 1x1 and 2x2 blocks.
-    """
-    H = H.astype(complex).copy()
-    n = H.shape[0]
-    eigs: list[complex] = []
-    hi = n
-    sweeps = 0
-    stuck = 0
-    while hi > 0:
-        if hi == 1:
-            eigs.append(H[0, 0])
-            break
-        lo = hi - 1
-        while lo > 0:
-            if abs(H[lo, lo - 1]) <= 1e-14 * (
-                abs(H[lo - 1, lo - 1]) + abs(H[lo, lo])
-            ):
-                H[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi - 1:
-            eigs.append(H[hi - 1, hi - 1])
-            hi -= 1
-            stuck = 0
-            continue
-        if lo == hi - 2:
-            a, b = H[hi - 2, hi - 2], H[hi - 2, hi - 1]
-            c, d = H[hi - 1, hi - 2], H[hi - 1, hi - 1]
-            r1, r2 = _roots_quadratic(-(a + d), a * d - b * c)
-            eigs.extend([r1, r2])
-            hi -= 2
-            stuck = 0
-            continue
-        if sweeps >= max_sweeps:
-            raise NonConvergence(
-                f"QR iteration did not deflate within {max_sweeps} sweeps"
-            )
-        sweeps += 1
-        stuck += 1
-        if stuck % 12 == 0:
-            # exceptional shift: eigenvalue symmetry can trap the Wilkinson shift
-            mu = H[hi - 1, hi - 1] + 0.75 * abs(H[hi - 1, hi - 2]) * (1 + 0.3j)
-        else:
-            a, b = H[hi - 2, hi - 2], H[hi - 2, hi - 1]
-            c, d = H[hi - 1, hi - 2], H[hi - 1, hi - 1]
-            r1, r2 = _roots_quadratic(-(a + d), a * d - b * c)
-            mu = r1 if abs(r1 - d) <= abs(r2 - d) else r2
-        H[lo:hi, lo:hi] = _qr_sweep(H[lo:hi, lo:hi], mu)
-    return eigs
-
-
 # Computed roots of an m-fold eigenvalue scatter in a ring of radius about
-# eps**(1/m); the per-multiplicity radii below bound that scatter while
-# staying far smaller than any genuine eigenvalue separation we care about.
+# eps**(1/m) times the matrix scale; the per-multiplicity radii below, taken
+# relative to max|A|, bound that scatter while staying far smaller than any
+# genuine eigenvalue separation we care about.
 _CLUSTER_RADIUS = {2: 5e-6, 3: 5e-4, 4: 8e-3}
 
 
@@ -242,13 +154,18 @@ def _poly_derivative(coeffs: np.ndarray, order: int) -> np.ndarray:
     return c
 
 
-def _merge_root_clusters(roots: list[complex], coeffs: np.ndarray) -> list[complex]:
+def _merge_root_clusters(
+    roots: list[complex], coeffs: np.ndarray, scale: float
+) -> list[complex]:
     """Replace scattered multiple-root clusters by one refined value.
 
     Individual computed roots of an m-fold eigenvalue are only accurate to
-    eps**(1/m).  An m-fold root of p is a simple root of the (m-1)-th
-    derivative, so Newton iteration on that derivative starting from the
-    cluster mean recovers it to near machine precision.
+    eps**(1/m) relative to ``scale`` (max|A| of the matrix they came from),
+    so m roots merge when their diameter is within _cluster_allowance(m) *
+    scale; the test is unchanged under A -> c*A.  An m-fold root of p is a
+    simple root of the (m-1)-th derivative, so Newton iteration on that
+    derivative starting from the cluster mean recovers it to near machine
+    precision.
     """
     from itertools import combinations
 
@@ -263,7 +180,7 @@ def _merge_root_clusters(roots: list[complex], coeffs: np.ndarray) -> list[compl
             vals = [roots[i] for i in combo]
             mu = sum(vals) / m
             diam = max(abs(u - v) for u in vals for v in vals)
-            allow = _cluster_allowance(m) * (1.0 + abs(mu))
+            allow = _cluster_allowance(m) * scale
             if diam > allow:
                 continue
             q = _poly_derivative(coeffs, m - 1)
@@ -285,46 +202,28 @@ def _merge_root_clusters(roots: list[complex], coeffs: np.ndarray) -> list[compl
     return out
 
 
-def eigenvalues(A: np.ndarray, max_sweeps: int = 500) -> np.ndarray:
+def eigenvalues(A: np.ndarray) -> np.ndarray:
     """Eigenvalues of a small complex matrix.
 
-    The characteristic polynomial (Faddeev-LeVerrier) is rooted through its
-    companion matrix with a shifted QR iteration; dim 2 falls back to the
-    closed-form quadratic.  Roots get a short Newton polish, near-coincident
-    clusters are averaged (see _merge_root_clusters), and every root must
-    satisfy |p(root)| <= 1e-8 relative to the polynomial's term magnitudes.
+    Roots come from LAPACK (``numpy.linalg.eigvals``).  Near-coincident
+    roots are then merged into exact multiple roots (see
+    _merge_root_clusters), which keeps defective spectra exact, and every
+    root must satisfy |p(root)| <= 1e-8 relative to the term magnitudes of
+    the Faddeev-LeVerrier characteristic polynomial p; a root that misses
+    raises NonConvergence.
     """
     A = as_square(A)
     n = A.shape[0]
-    if n == 1:
-        return A.reshape(1).copy()
     coeffs = np.asarray(char_poly(A))
-    if n == 2:
-        roots = list(_roots_quadratic(coeffs[1], coeffs[2]))
-    else:
-        companion = np.zeros((n, n), dtype=complex)
-        companion[1:, :-1] = np.eye(n - 1)
-        companion[:, -1] = -coeffs[1:][::-1]
-        roots = _qr_eigenvalues(companion, max_sweeps)
-    polished = []
-    for z in roots:
-        for _ in range(2):
-            p, dp = _poly_eval(coeffs, z)
-            if dp != 0:
-                step = p / dp
-                if abs(step) < 1.0 + abs(z):
-                    znew = z - step
-                    pnew, _ = _poly_eval(coeffs, znew)
-                    if abs(pnew) < abs(p):
-                        z = znew
-        polished.append(z)
-    merged = _merge_root_clusters(polished, coeffs)
+    merged = _merge_root_clusters(
+        list(np.linalg.eigvals(A)), coeffs, float(np.abs(A).max())
+    )
     for z in merged:
         p, _ = _poly_eval(coeffs, z)
-        scale = sum(abs(c) * max(1.0, abs(z)) ** (n - i) for i, c in enumerate(coeffs))
-        if abs(p) > 1e-8 * scale:
+        bound = sum(abs(c) * max(1.0, abs(z)) ** (n - i) for i, c in enumerate(coeffs))
+        if abs(p) > 1e-8 * bound:
             raise NonConvergence(
-                f"root residual {abs(p):.3e} exceeds 1e-8 * {scale:.3e}"
+                f"root residual {abs(p):.3e} exceeds 1e-8 * {bound:.3e}"
             )
     return np.asarray(merged)
 

@@ -32,6 +32,18 @@ def random_unitary_2(rng):
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
+def test_rank_one_test_resolves_below_sqrt_eps():
+    # singular values taken from the eigenvalues of M^dagger M would blur
+    # every ratio below ~1e-8, so this 1e-10 ratio would read as ~6e-9
+    from ybe4.classify import _is_rank_one
+
+    rng = np.random.default_rng(11)
+    U = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    V = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    assert _is_rank_one(U @ np.diag([1.0, 1e-10, 0.0, 0.0]) @ V, ratio=1e-9)
+    assert not _is_rank_one(U @ np.diag([1.0, 1e-8, 0.0, 0.0]) @ V, ratio=1e-9)
+
+
 def test_state_normalization_and_determinant():
     s = TwoQubitState([2, 0, 0, 0])
     assert np.linalg.norm(s.vec) == pytest.approx(1)

@@ -72,6 +72,43 @@ def test_verify_random_fails(capsys, fixtures):
     assert report["checks"][0]["residual"] > 1.0
 
 
+def test_verify_route_agreement_scales_with_residual(capsys, tmp_path):
+    # at scale 10 the residuals are ~1e5 and the two routes round apart by
+    # ~1e-11, which is agreement, not a fault
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        M = 10 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        path = tmp_path / f"scaled_{seed}.json"
+        write_matrix_file(str(path), M, {"name": "scaled"})
+        code, report, _ = run(capsys, "verify", str(path), "--form", "both")
+        assert code == 1
+        by_name = {c["name"]: c for c in report["checks"]}
+        for form in ("braided", "algebraic"):
+            agree = by_name[f"{form} route agreement"]
+            assert agree["verdict"] == "pass", (seed, agree)
+            residual = by_name[f"{form} embedding"]["residual"]
+            assert agree["bound"] >= 1e-12 * residual
+
+
+def test_verify_scaled_solution_passes(capsys, tmp_path):
+    # c*R solves the equation whenever R does; at c = 30 both residuals are
+    # ~3e-11 of pure rounding and differ by a few 1e-12
+    rng = np.random.default_rng(0)
+    U = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    K = np.kron(U, U)
+    path = tmp_path / "scaled_solution.json"
+    write_matrix_file(str(path), 30 * K @ HADA @ swap_matrix(2) @ K.conj().T, {})
+    code, report, _ = run(capsys, "verify", str(path))
+    assert code == 0 and report["verdict"] == "pass", report["checks"]
+
+
+def test_verify_unit_scale_route_bound(capsys, fixtures):
+    # a unit-scale solution keeps the plain 1e-12 bound
+    code, report, _ = run(capsys, "verify", fixtures["hada_swap"])
+    assert code == 0
+    assert report["checks"][2]["bound"] == 1e-12
+
+
 def test_verify_parse_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ nope")

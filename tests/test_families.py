@@ -22,7 +22,8 @@ from ybe4.families import (
     run_elimination,
     validate_spec,
 )
-from ybe4.linalg import Tolerance, frobenius, inverse, is_unitary, kron
+from ybe4.families import _r11
+from ybe4.linalg import Tolerance, eigenvalues, frobenius, inverse, is_unitary, kron
 
 SWAP = swap_matrix(2)
 
@@ -290,6 +291,21 @@ def test_eigenvalue_filter_rejects_split_spectrum():
     M = np.array(
         [[1, 0, 0, -3], [0, 5, -3, 0], [0, -3, 5, 0], [-3, 0, 0, -7]], dtype=complex
     )
+    assert not eigenvalue_filter(M)
+
+
+def test_eigenvalue_filter_rejects_small_scale_r11():
+    # R11 spectrum {2p^2, 2p^2, 2q^2, -2q^2}: distinct moduli, but all four
+    # roots lie within 5e-3 of each other, which an absolute cluster radius
+    # would merge into one 4-fold root
+    p = np.sqrt(1.28e-3) * np.exp(0.7j)
+    q = np.sqrt(8.14e-4) * np.exp(-1.1j)
+    M = _r11(p, q)
+    roots = eigenvalues(M)
+    assert len({complex(z) for z in roots}) == 3
+    want = [2 * p * p, 2 * p * p, 2 * q * q, -2 * q * q]
+    for w in want:
+        assert min(abs(z - w) for z in roots) < 1e-12
     assert not eigenvalue_filter(M)
 
 

@@ -115,6 +115,22 @@ def test_eigenvalues_defective_multiple_roots():
     assert (mods.max() - mods.min()) / mods.max() < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=-3.0, max_value=3.0), st.integers(0, 2**32 - 1))
+def test_eigenvalues_defective_root_is_scale_invariant(log_c, seed):
+    # c * S A S^-1 for the unipotent block above has the single 4-fold root c
+    c = 10.0**log_c
+    A = np.array(
+        [[1, 2, -2, 4], [0, 1, 0, 3], [0, 0, 1, -3], [0, 0, 0, 1]], dtype=complex
+    )
+    rng = np.random.default_rng(seed)
+    S = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) + 3.0 * np.eye(4)
+    got = eigenvalues(c * S @ A @ np.linalg.inv(S))
+    assert len(got) == 4
+    assert np.all(got == got[0])
+    assert abs(got[0] - c) <= 1e-10 * c
+
+
 def test_eigenvalues_dim2_closed_form():
     M = np.array([[3, 1], [0, 3 + 1e-9]], dtype=complex)
     got = eigenvalues(M)
