@@ -10,11 +10,12 @@ questions about such a gate are answered here:
   product state whose image has maximal pair determinant.
 
 * which of the five families does it belong to, and for which data
-  (Q, k, parameters)?  F5 and F1 and F4 admit direct structure extraction;
-  F3 and F2 certificates are found by a small Levenberg-Marquardt search
-  over Q.  Every accepted answer carries a reconstruction whose distance to
-  the input is at most 1e-6, so the result is a checkable certificate, not
-  a heuristic label.
+  (Q, k, parameters)?  The stages F5, F1, F4 and F3 each read Q, k and the
+  parameters off the spectral or tensor structure of the input in closed
+  form; members of F2 always carry a diagonal-family certificate and are
+  tagged F1.  Every accepted answer carries a reconstruction whose distance
+  to the input is at most 1e-6, so the result is a checkable certificate,
+  not a heuristic label.
 """
 
 from __future__ import annotations
@@ -22,16 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
+from scipy.optimize import minimize
 
 from .core import braided_residual, swap_matrix
 from .errors import ConstraintViolation, NonConvergence, NotASolution, NotUnitary
-from .families import (
-    ANTIDIAG_ZERO_POS,
-    FamilySpec,
-    family_member,
-    gram,
-)
+from .families import FamilySpec, family_member
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -424,132 +420,53 @@ def _try_f4(Rb: np.ndarray) -> ClassificationResult | None:
     return None
 
 
-def _pattern_data(M: np.ndarray, Q: np.ndarray):
-    """Conjugate M back through Q (x) Q and read the anti-diagonal pattern."""
-    det = Q[0, 0] * Q[1, 1] - Q[0, 1] * Q[1, 0]
-    if abs(det) < 1e-8:
-        return None
-    Qinv = np.array([[Q[1, 1], -Q[0, 1]], [-Q[1, 0], Q[0, 0]]]) / det
-    C = kron(Qinv, Qinv) @ M @ kron(Q, Q)
-    khat = (C[1, 2] + C[2, 1]) / 2
-    if abs(khat) < 1e-3:
-        return None
-    base = []
-    for i, j in ANTIDIAG_ZERO_POS:
-        base.extend([C[i, j].real, C[i, j].imag])
-    for val in (C[1, 2] - khat, C[2, 1] - khat):
-        base.extend([val.real, val.imag])
-    base.append(abs(khat) - 1.0)
-    return C, khat, base
-
-
-_BIG = 1e3
-
-
-def _try_f3(Rb: np.ndarray, rng: np.random.Generator, restarts: int) -> ClassificationResult | None:
+def _try_f3(Rb: np.ndarray) -> ClassificationResult | None:
+    # An F3 member is M = Rb P = k (U (x) U) A (U (x) U)^dag with U unitary
+    # and A the anti-diagonal pattern with |p| = |q| = 1: a Gram-diagonal Q
+    # is U diag(s1, s2), and the diagonal part moves into the moduli of p, q.
+    # A^2 = diag(pq, 1, 1, pq), so the traceless part of M^2 is
+    # k^2 (pq - 1)/2 N (x) N with N = U Z U^dag, whose realignment is rank one.
     M = Rb @ _SWAP
-
-    def unpack(x: np.ndarray) -> np.ndarray | None:
-        a, b, d = x[0] + 1j * x[1], x[2] + 1j * x[3], x[4] + 1j * x[5]
-        if abs(a) < 1e-6 or abs(d) < 1e-6:
-            return None
-        c = -a * np.conj(b) / np.conj(d)
-        return np.array([[a, b], [c, d]])
-
-    def residuals(x: np.ndarray) -> np.ndarray:
-        Q = unpack(x)
-        if Q is None:
-            return np.full(31, _BIG)
-        pack = _pattern_data(M, Q)
-        if pack is None:
-            return np.full(31, _BIG)
-        C, khat, base = pack
-        ratio = abs(Q[1, 1]) ** 2 / abs(Q[0, 0]) ** 2
-        base.append(abs(C[0, 3] / khat) - ratio)
-        base.append(abs(C[3, 0] / khat) - 1.0 / ratio)
-        return np.asarray(base)
-
-    for _ in range(restarts):
-        x0 = rng.normal(size=6) / np.sqrt(2)
-        sol = least_squares(
-            residuals, x0, method="lm", max_nfev=1400, gtol=1e-10
-        )
-        Q = unpack(sol.x)
-        if Q is None:
-            continue
-        pack = _pattern_data(M, Q)
-        if pack is None:
-            continue
-        C, khat, _ = pack
-        ratio = abs(Q[1, 1]) ** 2 / abs(Q[0, 0]) ** 2
-        p, q = C[0, 3] / khat, C[3, 0] / khat
-        if abs(p) < 1e-8 or abs(q) < 1e-8:
-            continue
-        params = {"p": p * ratio / abs(p), "q": q / (ratio * abs(q))}
-        spec = FamilySpec("F3", Q, khat / abs(khat), params)
-        got = _accept(Rb, spec, "anti-diagonal pattern, Gram-diagonal Q")
-        if got:
-            return got
-    return None
-
-
-def _try_f2(Rb: np.ndarray, rng: np.random.Generator, restarts: int) -> ClassificationResult | None:
-    M = Rb @ _SWAP
-
-    def unpack(x: np.ndarray) -> np.ndarray:
-        return np.array(
-            [[x[0] + 1j * x[1], x[2] + 1j * x[3]], [x[4] + 1j * x[5], x[6] + 1j * x[7]]]
-        )
-
-    def residuals(x: np.ndarray) -> np.ndarray:
-        Q = unpack(x)
-        pack = _pattern_data(M, Q)
-        if pack is None:
-            return np.full(33, _BIG)
-        C, khat, base = pack
-        g = gram(Q)
-        if abs(g.z) < 1e-8 * (g.x + g.y):
-            return np.full(33, _BIG)
-        p_forced = g.y * np.conj(g.z) / (g.x * g.z)
-        q_forced = 1.0 / p_forced
-        for val in (C[0, 3] / khat - p_forced, C[3, 0] / khat - q_forced):
-            base.extend([val.real, val.imag])
-        return np.asarray(base)
-
-    for _ in range(restarts):
-        x0 = rng.normal(size=8) / np.sqrt(2)
-        sol = least_squares(
-            residuals, x0, method="lm", max_nfev=1800, gtol=1e-10
-        )
-        Q = unpack(sol.x)
-        pack = _pattern_data(M, Q)
-        if pack is None:
-            continue
-        _, khat, _ = pack
-        spec = FamilySpec("F2", Q, khat / abs(khat))
-        got = _accept(Rb, spec, "anti-diagonal pattern, Q-forced parameters")
-        if got:
-            return got
-    return None
+    M2 = M @ M
+    R1 = realign(M2 - np.trace(M2) / 4 * np.eye(4))
+    S = R1[:, int(np.argmax(np.linalg.norm(R1, axis=0)))].reshape(2, 2)
+    # N is Hermitian with tr(N N) = 2, which fixes the phase of S up to sign
+    S = S * np.exp(-0.5j * np.angle(np.trace(S @ S)))
+    _, U = np.linalg.eigh(S + dagger(S))
+    if abs(U[0, 0]) ** 2 < 0.5:
+        U = U[:, ::-1]  # keep the corners of Q away from zero
+    A = kron(U, U)
+    C = dagger(A) @ M @ A
+    k = (C[1, 2] + C[2, 1]) / 2
+    if abs(k) < 1e-3:
+        return None
+    p, q = C[0, 3] / k, C[3, 0] / k
+    if abs(p) < 1e-8 or abs(q) < 1e-8:
+        return None
+    # snap the moduli the family demands; the rebuild check has the last word
+    spec = FamilySpec("F3", U, k / abs(k), {"p": p / abs(p), "q": q / abs(q)})
+    return _accept(Rb, spec, "anti-diagonal pattern, Gram-diagonal Q")
 
 
 def classify(
     Rb: np.ndarray,
     rng: np.random.Generator | None = None,
-    restarts: int = 32,
     tol: Tolerance = DEFAULT_TOL,
 ) -> ClassificationResult:
     """Assign a unitary braided solution to a family, with certificate.
 
-    Stages run in the order F5, F1, F4, F3, F2 and the first stage whose
-    reconstruction lands within 1e-6 of the input wins.  The families
-    genuinely overlap, so the label is a deterministic canonical choice,
-    not an exclusive one: scalars sit in several families, and members
-    built on the anti-diagonal pattern with a free Q carry the forced
-    p q = 1, which gives them eigenvalues {k, -k} with a product eigenbasis
-    and therefore a valid diagonal-family certificate as well.  Inputs that
-    are not unitary or not solutions are rejected with NotUnitary /
-    NotASolution.
+    Stages run in the order F5, F1, F4, F3 and the first stage whose
+    reconstruction lands within 1e-6 of the input wins.  Every stage reads
+    its certificate off the structure of the input in closed form, so the
+    result is deterministic and ``rng`` is ignored (it is accepted for
+    callers written against the earlier randomized search).  The families
+    genuinely overlap, so the label is a canonical choice, not an exclusive
+    one: scalars sit in several families, and every member of the
+    anti-diagonal pattern with p q = 1 (all of F2, whose Q forces it, and
+    the p q = 1 edge of F3) has eigenvalues {k, -k} with a product
+    eigenbasis and therefore a valid diagonal-family certificate, which the
+    F1 stage finds first.  No member is ever tagged F2.  Inputs that are not
+    unitary or not solutions are rejected with NotUnitary / NotASolution.
     """
     Rb = as_square(Rb)
     if Rb.shape != (4, 4):
@@ -560,23 +477,10 @@ def classify(
     resid = braided_residual(Rb)
     if resid > max(tol.residual_tol, 40 * tol.residual_tol * frobenius(Rb)):
         raise NotASolution(f"braided equation residual {resid:.3e}")
-    rng = np.random.default_rng(0) if rng is None else rng
-
-    got = _try_f5(Rb)
-    if got:
-        return got
-    got = _try_f1(Rb)
-    if got:
-        return got
-    got = _try_f4(Rb)
-    if got:
-        return got
-    got = _try_f3(Rb, rng, restarts)
-    if got:
-        return got
-    got = _try_f2(Rb, rng, restarts)
-    if got:
-        return got
+    for stage in (_try_f5, _try_f1, _try_f4, _try_f3):
+        got = stage(Rb)
+        if got:
+            return got
     return ClassificationResult(
         None, None, float("inf"), "no family certificate found"
     )

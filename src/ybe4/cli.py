@@ -3,7 +3,8 @@
 Reports go to stdout as JSON (sorted keys, stable formatting); a short
 human-readable summary goes to stderr.  Every command that draws random
 numbers takes --seed, falling back to the YBE4_SEED environment variable
-and then to 0, so repeated runs are byte-identical.
+and then to 0, so repeated runs are byte-identical.  classify also takes
+--seed and records it in its report; its result does not depend on it.
 
 Exit codes: 0 pass, 1 check failed, 2 parse error, 3 dimension error,
 4 constraint violation, 5 not a solution (or not unitary), 6 degenerate
@@ -129,14 +130,16 @@ def _cmd_verify(args) -> tuple[dict, bool]:
     M, metadata = _load_solution_file(args.path)
     forms = ("braided", "algebraic") if args.form == "both" else (args.form,)
     # each route rounds at the size of its cubic terms, ~max|M|**3, or of the
-    # residual itself when that is larger; both are 1 or less for unitary M
+    # residual itself when that is larger; both are 1 or less for unitary M.
+    # c*M solves the equation whenever M does, so the residual bound scales too
     term_scale = float(np.abs(M).max()) ** 3
+    res_bound = tol.residual_tol * max(1.0, term_scale)
     checks = []
     for form in forms:
         matrix_res = braided_residual(M) if form == "braided" else algebraic_residual(M)
         index_res = contraction_residual(M, form=form)
-        checks.append(_check(f"{form} embedding", matrix_res, tol.residual_tol))
-        checks.append(_check(f"{form} contraction", index_res, tol.residual_tol))
+        checks.append(_check(f"{form} embedding", matrix_res, res_bound))
+        checks.append(_check(f"{form} contraction", index_res, res_bound))
         checks.append(
             _check(
                 f"{form} route agreement",
@@ -257,7 +260,7 @@ def _cmd_classify(args) -> tuple[dict, bool]:
     tol = _tolerance(args)
     M, metadata = _load_solution_file(args.path)
     seed = _seed(args)
-    result = classify(M, rng=np.random.default_rng(seed), tol=tol)
+    result = classify(M, tol=tol)
     gate = is_entangling_gate(M, witness=True, tol=tol)
     ok = result.family is not None
     report = _base_report(

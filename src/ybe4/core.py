@@ -90,6 +90,13 @@ def is_algebraic_solution(R: np.ndarray, tol: float = 1e-9) -> bool:
     return algebraic_residual(R) <= tol
 
 
+# output indices x,y,z then input indices i,j,k, as in the formulas below
+_CONTRACTIONS = {
+    "braided": ("abij,czbk,xyac->xyzijk", "npjk,xmin,yzmp->xyzijk"),
+    "algebraic": ("bcjk,uzic,xyub->xyzijk", "mnij,xwmk,yznw->xyzijk"),
+}
+
+
 def contraction_residual(R: np.ndarray, form: str = "braided") -> float:
     """The same residuals computed from explicit index contractions.
 
@@ -107,52 +114,11 @@ def contraction_residual(R: np.ndarray, form: str = "braided") -> float:
     """
     R = as_square(R)
     d = _split_dim(R)
-    T = R.reshape(d, d, d, d)
-    rng = range(d)
-    total = 0.0
-    if form == "braided":
-        for i in rng:
-            for j in rng:
-                for k in rng:
-                    for x in rng:
-                        for y in rng:
-                            for z in rng:
-                                lhs = sum(
-                                    T[a, b, i, j] * T[c, z, b, k] * T[x, y, a, c]
-                                    for a in rng
-                                    for b in rng
-                                    for c in rng
-                                )
-                                rhs = sum(
-                                    T[n, p, j, k] * T[x, m, i, n] * T[y, z, m, p]
-                                    for m in rng
-                                    for n in rng
-                                    for p in rng
-                                )
-                                total += abs(lhs - rhs) ** 2
-    elif form == "algebraic":
-        for i in rng:
-            for j in rng:
-                for k in rng:
-                    for x in rng:
-                        for y in rng:
-                            for z in rng:
-                                lhs = sum(
-                                    T[b, c, j, k] * T[u, z, i, c] * T[x, y, u, b]
-                                    for b in rng
-                                    for c in rng
-                                    for u in rng
-                                )
-                                rhs = sum(
-                                    T[m, n, i, j] * T[x, w, m, k] * T[y, z, n, w]
-                                    for m in rng
-                                    for n in rng
-                                    for w in rng
-                                )
-                                total += abs(lhs - rhs) ** 2
-    else:
+    if form not in _CONTRACTIONS:
         raise ValueError(f"unknown form {form!r}, expected 'braided' or 'algebraic'")
-    return float(np.sqrt(total))
+    T = R.reshape(d, d, d, d)
+    lhs, rhs = (np.einsum(spec, T, T, T) for spec in _CONTRACTIONS[form])
+    return frobenius(lhs - rhs)
 
 
 def compose_with_swap(R: np.ndarray) -> np.ndarray:

@@ -42,7 +42,6 @@ from .core import swap_matrix
 
 __all__ = [
     "FAMILY_NAMES",
-    "ANTIDIAG_ZERO_POS",
     "FamilySpec",
     "GramData",
     "CandidateRep",
@@ -60,14 +59,6 @@ __all__ = [
 ]
 
 FAMILY_NAMES = ("F1", "F2", "F3", "F4", "F5")
-
-# entries that vanish in the F2/F3 anti-diagonal base pattern
-ANTIDIAG_ZERO_POS = (
-    (0, 0), (0, 1), (0, 2),
-    (1, 0), (1, 1), (1, 3),
-    (2, 0), (2, 2), (2, 3),
-    (3, 1), (3, 2), (3, 3),
-)
 
 
 @dataclass(frozen=True, eq=False)

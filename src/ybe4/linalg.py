@@ -208,19 +208,19 @@ def eigenvalues(A: np.ndarray) -> np.ndarray:
     Roots come from LAPACK (``numpy.linalg.eigvals``).  Near-coincident
     roots are then merged into exact multiple roots (see
     _merge_root_clusters), which keeps defective spectra exact, and every
-    root must satisfy |p(root)| <= 1e-8 relative to the term magnitudes of
-    the Faddeev-LeVerrier characteristic polynomial p; a root that misses
-    raises NonConvergence.
+    root z must satisfy |p(z)| <= 1e-8 * sum_i |c_i| max(max|A|, |z|)^(n-i)
+    for the Faddeev-LeVerrier characteristic polynomial p with coefficients
+    c_i; the bound scales like p itself under A -> c*A, so the check is as
+    strict at every scale.  A root that misses raises NonConvergence.
     """
     A = as_square(A)
     n = A.shape[0]
     coeffs = np.asarray(char_poly(A))
-    merged = _merge_root_clusters(
-        list(np.linalg.eigvals(A)), coeffs, float(np.abs(A).max())
-    )
+    scale = float(np.abs(A).max())
+    merged = _merge_root_clusters(list(np.linalg.eigvals(A)), coeffs, scale)
     for z in merged:
         p, _ = _poly_eval(coeffs, z)
-        bound = sum(abs(c) * max(1.0, abs(z)) ** (n - i) for i, c in enumerate(coeffs))
+        bound = sum(abs(c) * max(scale, abs(z)) ** (n - i) for i, c in enumerate(coeffs))
         if abs(p) > 1e-8 * bound:
             raise NonConvergence(
                 f"root residual {abs(p):.3e} exceeds 1e-8 * {bound:.3e}"

@@ -177,7 +177,7 @@ EXPECTED = {
     # members built with a free Q sit inside the diagonal family too: the
     # forced p q = 1 gives them eigenvalues {k, -k} with a product eigenbasis,
     # so the earlier diagonal stage certifies them first
-    "F2": {"F1", "F2", "F3"},
+    "F2": {"F1"},
     "F3": {"F3"},
     "F4": {"F4"},
     "F5": {"F5"},
@@ -220,18 +220,43 @@ def test_classify_returns_dataclass():
     assert res.message
 
 
-def test_free_q_certificate_stage_works_in_isolation():
-    # members with a free Q are normally certified by the earlier diagonal
-    # stage; drive the dedicated search directly to keep it honest
-    from ybe4.classify import _try_f2
-
+@pytest.mark.parametrize("family, n, tag", [("F2", 200, "F1"), ("F3", 500, "F3")])
+def test_sampled_members_certify_in_closed_form(family, n, tag):
+    # F2 forces p q = 1, so the diagonal stage certifies every member; F3
+    # members are read off the squared structure without any search
     rng = np.random.default_rng(10)
-    spec = random_family_spec("F2", rng)
-    Rb = family_member(spec)
-    res = _try_f2(Rb, np.random.default_rng(11), restarts=32)
-    assert res is not None
-    assert res.family == "F2"
-    assert res.residual <= 1e-6
+    for _ in range(n):
+        Rb = family_member(random_family_spec(family, rng))
+        res = classify(Rb)
+        assert res.family == tag
+        assert res.residual <= 1e-6
+        assert frobenius(family_member(res.spec) - Rb) <= 1e-6
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-6, 1e-8, 0.0])
+def test_f3_members_near_pq_one_are_certified(delta):
+    # the F3 extraction reads U from a term proportional to p q - 1, which
+    # fades as p q -> 1; the diagonal stage covers the members it cannot see
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        base = random_family_spec("F3", rng)
+        ratio = abs(base.Q[1, 1]) ** 2 / abs(base.Q[0, 0]) ** 2
+        phase = np.exp(2j * np.pi * rng.uniform())
+        params = {"p": ratio * phase, "q": np.exp(1j * delta) / (ratio * phase)}
+        Rb = family_member(FamilySpec("F3", base.Q, base.k, params))
+        res = classify(Rb)
+        assert res.family in {"F1", "F3"}
+        assert frobenius(family_member(res.spec) - Rb) <= 1e-6
+
+
+def test_f3_certificate_keeps_corners_for_nearly_antidiagonal_q():
+    Q = np.array([[1e-3, 2.0], [-1.0, 2e-3]])
+    ratio = abs(Q[1, 1]) ** 2 / abs(Q[0, 0]) ** 2
+    params = {"p": ratio * np.exp(0.3j), "q": np.exp(1.1j) / ratio}
+    Rb = family_member(FamilySpec("F3", Q, np.exp(0.7j), params))
+    res = classify(Rb)
+    assert res.family == "F3"
+    assert abs(res.spec.Q[0, 0]) ** 2 >= 0.5
     assert frobenius(family_member(res.spec) - Rb) <= 1e-6
 
 

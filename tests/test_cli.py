@@ -102,6 +102,19 @@ def test_verify_scaled_solution_passes(capsys, tmp_path):
     assert code == 0 and report["verdict"] == "pass", report["checks"]
 
 
+def test_verify_residual_bound_scales_with_solution(capsys, tmp_path):
+    # at c = 100 the rounding residuals of local-unitary conjugates of one
+    # solution straddle the unit-scale bound 1e-9
+    rng = np.random.default_rng(1)
+    path = tmp_path / "scaled_solution.json"
+    for _ in range(20):
+        U = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        K = np.kron(U, U)
+        write_matrix_file(str(path), 100 * K @ HADA @ swap_matrix(2) @ K.conj().T, {})
+        code, report, _ = run(capsys, "verify", str(path))
+        assert code == 0 and report["verdict"] == "pass", report["checks"]
+
+
 def test_verify_unit_scale_route_bound(capsys, fixtures):
     # a unit-scale solution keeps the plain 1e-12 bound
     code, report, _ = run(capsys, "verify", fixtures["hada_swap"])

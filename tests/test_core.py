@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,39 @@ def test_contraction_residual_dim3():
     M = crand(rng, (9, 9))
     assert contraction_residual(M, "algebraic") == pytest.approx(
         algebraic_residual(M), abs=1e-11
+    )
+
+
+def loop_contraction_residual(R, form):
+    """The component formulas of contraction_residual, summed term by term."""
+    d = round(R.shape[0] ** 0.5)
+    T = R.reshape(d, d, d, d)
+    total = 0.0
+    for i, j, k, x, y, z in product(range(d), repeat=6):
+        terms = product(range(d), repeat=3)
+        if form == "braided":
+            diff = sum(
+                T[a, b, i, j] * T[c, z, b, k] * T[x, y, a, c]
+                - T[b, c, j, k] * T[x, a, i, b] * T[y, z, a, c]
+                for a, b, c in terms
+            )
+        else:
+            diff = sum(
+                T[a, b, j, k] * T[c, z, i, b] * T[x, y, c, a]
+                - T[a, b, i, j] * T[x, c, a, k] * T[y, z, b, c]
+                for a, b, c in terms
+            )
+        total += abs(diff) ** 2
+    return np.sqrt(total)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("form", ["braided", "algebraic"])
+def test_contraction_residual_matches_component_loops(d, form):
+    rng = np.random.default_rng(17)
+    M = crand(rng, (d * d, d * d))
+    assert contraction_residual(M, form) == pytest.approx(
+        loop_contraction_residual(M, form), rel=1e-12
     )
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ybe4.errors import SingularMatrix
+from ybe4.errors import NonConvergence, SingularMatrix
 from ybe4.linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -129,6 +129,15 @@ def test_eigenvalues_defective_root_is_scale_invariant(log_c, seed):
     assert len(got) == 4
     assert np.all(got == got[0])
     assert abs(got[0] - c) <= 1e-10 * c
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+def test_eigenvalues_rejects_a_non_root_at_every_scale(c, monkeypatch):
+    # a root solver that returns 1.5c in place of c must be caught whatever
+    # the scale; a bound with an absolute floor of 1 let it pass at c = 1e-3
+    monkeypatch.setattr(np.linalg, "eigvals", lambda A: np.array([1.5, 2, 3, 4]) * c)
+    with pytest.raises(NonConvergence):
+        eigenvalues(np.diag([1.0, 2.0, 3.0, 4.0]) * c)
 
 
 def test_eigenvalues_dim2_closed_form():
