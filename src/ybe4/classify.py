@@ -6,8 +6,9 @@ questions about such a gate are answered here:
 * does it create entanglement from any product state?  A gate preserves
   products exactly when it is a local pair A (x) B, possibly composed with
   the swap; both cases are visible as a rank-1 realignment of the matrix.
-  When a gate is entangling, a grid-plus-simplex search produces a witness
-  product state whose image has maximal pair determinant.
+  When a gate is entangling, a witness product state whose image has
+  maximal pair determinant is built in closed form in the magic basis,
+  where product states are the vectors a with a^T a = 0.
 
 * which of the five families does it belong to, and for which data
   (Q, k, parameters)?  The stages F5, F1, F4 and F3 each read Q, k and the
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import braided_residual, swap_matrix
 from .errors import ConstraintViolation, NonConvergence, NotASolution, NotUnitary
@@ -110,7 +110,15 @@ def _is_rank_one(M: np.ndarray, ratio: float = 1e-6) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class ProductWitness:
-    """A product input whose image under the gate is entangled."""
+    """A product input whose image under the gate is as entangled as possible.
+
+    angles                   (theta1, phi1, theta2, phi2): qubit j of the input
+                             is (cos theta_j, e^{i phi_j} sin theta_j), up to a
+                             global phase
+    state                    the input u (x) v
+    output_pair_determinant  |det| of the output's 2x2 amplitude table, the
+                             maximum over product inputs (at most 1/2)
+    """
 
     angles: tuple[float, float, float, float]
     state: TwoQubitState
@@ -123,61 +131,102 @@ class GateEntanglementReport:
     witness: ProductWitness | None
 
 
-def _bloch(theta: float, phi: float) -> np.ndarray:
-    return np.array([np.cos(theta), np.sin(theta) * np.exp(1j * phi)])
+# Columns (|00>+|11>)/sqrt2, i(|00>-|11>)/sqrt2, i(|01>+|10>)/sqrt2 and
+# (|01>-|10>)/sqrt2.  The state _MAGIC @ a has pair determinant a^T a / 2.
+_MAGIC = np.array(
+    [[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]]
+) / np.sqrt(2)
 
 
-def _witness_search(G: np.ndarray, grid_points: int) -> ProductWitness:
-    thetas = np.linspace(0.0, np.pi / 2, grid_points)
-    phis = np.linspace(0.0, 2 * np.pi, grid_points, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    locals_ = np.stack(
-        [np.cos(tt).ravel(), (np.sin(tt) * np.exp(1j * pp)).ravel()], axis=1
+def _takagi_real(S: np.ndarray) -> np.ndarray:
+    """Real orthogonal O with O^T S O diagonal, for a symmetric unitary S.
+
+    Re S and Im S commute, so the eigenbasis of Re S diagonalizes Im S too,
+    except inside a repeated eigenspace of Re S, which Im S then splits.
+    """
+    x, O = np.linalg.eigh(S.real)
+    start = 0
+    for end in range(1, 5):
+        if end == 4 or x[end] - x[end - 1] > 1e-8:
+            if end - start > 1:
+                V = O[:, start:end]
+                O[:, start:end] = V @ np.linalg.eigh(V.T @ S.imag @ V)[1]
+            start = end
+    return O
+
+
+def _witness_weights(d: np.ndarray) -> np.ndarray:
+    """w with sum w = 0 and sum |w| = 1 maximizing |sum w_k d_k|, all |d_k| = 1.
+
+    The maximum is the radius of the smallest circle around the d_k.
+    """
+    order = np.argsort(np.angle(d))
+    phases = np.angle(d[order])
+    # arcs[i] runs from the i-th to the (i+1)-th point in angular order
+    arcs = np.diff(np.append(phases, phases[0] + 2 * np.pi))
+    w = np.zeros(4, dtype=complex)
+    widest = int(np.argmax(arcs))
+    # F4 members give d = {A, A, -A, -A}, whose half-turn arcs rounding can
+    # leave just below pi, where the triangle below degenerates; the chord
+    # loses at most (1e-6)^2 / 16 on an arc that short of pi
+    if arcs[widest] >= np.pi - 1e-6:
+        # the points lie on a half circle: the smallest circle has the chord
+        # across the widest arc as its diameter
+        w[order[widest]], w[order[(widest + 1) % 4]] = 0.5, -0.5
+        return w
+    # the origin is inside the hull, the radius is 1, and the triangle left
+    # after dropping the point with the shortest neighbouring arcs holds it;
+    # its barycentric weights are the sines of the arcs facing each vertex
+    drop = int(np.argmin(arcs + np.roll(arcs, 1)))
+    keep = order[(drop + np.arange(1, 4)) % 4]
+    facing = arcs[(drop + np.array([2, 3, 1])) % 4]
+    facing[1] += arcs[drop]
+    lam = np.sin(facing)
+    w[keep] = lam / lam.sum() * np.conj(d[keep])
+    return w
+
+
+def _qubit_angles(u: np.ndarray) -> tuple[float, float]:
+    """theta, phi with u equal to (cos theta, e^{i phi} sin theta) up to phase."""
+    return (
+        float(np.arctan2(abs(u[1]), abs(u[0]))),
+        float(np.angle(u[1] * np.conj(u[0]))),
     )
-    states = np.einsum("ai,bj->abij", locals_, locals_).reshape(-1, 4)
-    out = states @ G.T
-    dets = np.abs(out[:, 0] * out[:, 3] - out[:, 1] * out[:, 2])
-    flat = int(np.argmax(dets))
-    m = grid_points * grid_points
-    ia, ib = divmod(flat, m)
 
-    def angles_of(index: int) -> tuple[float, float]:
-        i, j = divmod(index, grid_points)
-        return float(thetas[i]), float(phis[j])
 
-    x0 = np.array(angles_of(ia) + angles_of(ib))
-
-    def negdet(x: np.ndarray) -> float:
-        psi = G @ np.kron(_bloch(x[0], x[1]), _bloch(x[2], x[3]))
-        return -abs(psi[0] * psi[3] - psi[1] * psi[2])
-
-    res = minimize(
-        negdet,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 600},
-    )
-    best = res.x if -res.fun >= dets[flat] else x0
-    state = TwoQubitState(np.kron(_bloch(best[0], best[1]), _bloch(best[2], best[3])))
+def _witness(G: np.ndarray) -> ProductWitness:
+    # with G_M = B^dagger G B, the output of the product state B a has pair
+    # determinant a^T S a / 2 for the symmetric unitary S = G_M^T G_M; with
+    # S = O diag(d) O^T and w = (O^T a)^2 entrywise, a is a product state when
+    # sum w = 0 and a unit vector when sum |w| = 1
+    GM = dagger(_MAGIC) @ G @ _MAGIC
+    S = GM.T @ GM
+    O = _takagi_real(S)
+    w = _witness_weights(np.diag(O.T @ S @ O))
+    u, v = TwoQubitState(_MAGIC @ (O @ np.sqrt(w))).factors()
+    state = TwoQubitState(np.kron(u, v))
+    out = G @ state.vec
     return ProductWitness(
-        angles=tuple(float(a) for a in best),
+        angles=_qubit_angles(u) + _qubit_angles(v),
         state=state,
-        output_pair_determinant=float(-negdet(best)),
+        output_pair_determinant=float(abs(out[0] * out[3] - out[1] * out[2])),
     )
 
 
 def is_entangling_gate(
     G: np.ndarray,
     witness: bool = True,
-    grid_points: int = 9,
     tol: Tolerance = DEFAULT_TOL,
 ) -> GateEntanglementReport:
     """Whether the gate maps some product state to an entangled one.
 
     Non-entangling gates are exactly the local pairs A (x) B and their
     compositions with the swap; both have rank-1 realignments.  For an
-    entangling gate a witness product input is located by a coarse grid
-    search refined with Nelder-Mead.
+    entangling gate the witness is constructed in closed form: in the magic
+    basis the best output pair determinant over product inputs is half the
+    radius of the smallest circle around the eigenvalues of G_M^T G_M
+    (Kraus and Cirac, PRA 63, 062309, 2001), and the support of that circle
+    gives the input.
     """
     G = as_square(G)
     ok, defect = is_unitary(G, tol)
@@ -185,7 +234,7 @@ def is_entangling_gate(
         raise NotUnitary(f"gate has unitarity defect {defect:.3e}")
     if _is_rank_one(realign(G)) or _is_rank_one(realign(G @ _SWAP)):
         return GateEntanglementReport(entangling=False, witness=None)
-    report_witness = _witness_search(G, grid_points) if witness else None
+    report_witness = _witness(G) if witness else None
     return GateEntanglementReport(entangling=True, witness=report_witness)
 
 

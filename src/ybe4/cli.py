@@ -84,6 +84,11 @@ def _tolerance(args) -> Tolerance:
     return Tolerance(eq_tol=args.eq_tol, residual_tol=args.res_tol)
 
 
+def _require_finite(name: str, value) -> None:
+    if not np.isfinite(value):
+        raise ParseError(f"{name} must be a finite number, got {value!r}")
+
+
 def _digest_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -126,7 +131,7 @@ def _all_pass(checks) -> bool:
 
 
 def _cmd_verify(args) -> tuple[dict, bool]:
-    tol = _tolerance(args)
+    tol = args.tol
     M, metadata = _load_solution_file(args.path)
     forms = ("braided", "algebraic") if args.form == "both" else (args.form,)
     # each route rounds at the size of its cubic terms, ~max|M|**3, or of the
@@ -181,6 +186,7 @@ def _explicit_spec(family: str, text: str) -> FamilySpec:
             parsed = complex(value)
         except ValueError:
             raise ParseError(f"cannot parse {key}={value!r} as a complex number") from None
+        _require_finite(key, parsed)
         if key == "k":
             k = parsed
         elif key in _EXPLICIT_KEYS.get(family, ()):
@@ -208,7 +214,7 @@ def _cmd_generate(args) -> tuple[dict, bool]:
         raise ConstraintViolation(f"--count must be >= 1, got {args.count}")
     family = f"F{args.family}"
     seed = _seed(args)
-    tol = _tolerance(args)
+    tol = args.tol
     rng = np.random.default_rng(seed)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -257,7 +263,7 @@ def _cmd_generate(args) -> tuple[dict, bool]:
 
 
 def _cmd_classify(args) -> tuple[dict, bool]:
-    tol = _tolerance(args)
+    tol = args.tol
     M, metadata = _load_solution_file(args.path)
     seed = _seed(args)
     result = classify(M, tol=tol)
@@ -308,7 +314,9 @@ def _cmd_filter(args) -> tuple[dict, bool]:
 
 
 def _cmd_bracket(args) -> tuple[dict, bool]:
-    tol = _tolerance(args)
+    tol = args.tol
+    for name in ("r", "g", "p"):
+        _require_finite(f"--{name}", getattr(args, name))
     params = BracketParams(r=args.r, g=args.g, p=args.p)
     N, R = unitary_bracket_family(params)
     U = odot(N, inverse(N))
@@ -487,6 +495,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        args.tol = _tolerance(args)
         report, ok = args.func(args)
     except Ybe4Error as exc:
         for err_type, code in _ERROR_EXIT:

@@ -37,7 +37,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstraintViolation, SingularMatrix
-from .linalg import DEFAULT_TOL, Tolerance, dagger, eigenvalues, inverse, kron
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    check_tolerance,
+    dagger,
+    eigenvalues,
+    inverse,
+    kron,
+)
 from .core import swap_matrix
 
 __all__ = [
@@ -472,6 +480,7 @@ def run_elimination(
     spectrum degenerates.  Returns per-candidate attempt/pass counts and the
     list of names whose pass rate falls below 1%.
     """
+    check_tolerance("rel_tol", rel_tol)
     rng = np.random.default_rng(seed)
     report: dict[str, dict] = {}
     for cand in hietarinta_candidates():

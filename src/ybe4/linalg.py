@@ -12,11 +12,11 @@ not solve it surfaces as NonConvergence instead of silent garbage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NonConvergence, SingularMatrix
+from .errors import ConstraintViolation, NonConvergence, SingularMatrix
 
 __all__ = [
     "Tolerance",
@@ -44,6 +44,20 @@ class Tolerance:
     eq_tol: float = 1e-9
     residual_tol: float = 1e-9
     singular_tol: float = 1e-6
+
+    def __post_init__(self):
+        for field in fields(self):
+            check_tolerance(field.name, getattr(self, field.name))
+
+
+def check_tolerance(name: str, value: float) -> None:
+    """Raise ConstraintViolation unless value is finite and positive.
+
+    A NaN bound fails every comparison and a negative one passes none, so
+    either would turn each check into a silent wrong verdict.
+    """
+    if not (np.isfinite(value) and value > 0):
+        raise ConstraintViolation(f"{name} must be finite and > 0, got {value!r}")
 
 
 DEFAULT_TOL = Tolerance()

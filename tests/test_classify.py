@@ -270,3 +270,106 @@ def test_non_entangling_gates_preserve_all_products():
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         out = TwoQubitState(gate @ np.kron(u, v))
         assert abs(out.pair_determinant) <= 1e-9
+
+
+def _bloch(theta, phi):
+    return np.array([np.cos(theta), np.sin(theta) * np.exp(1j * phi)])
+
+
+def reference_witness_determinant(G, grid_points=9):
+    """Best output pair determinant found by a grid refined with Nelder-Mead.
+
+    This is the search the closed-form witness replaced; it stays here as
+    the reference the closed form must never fall below.
+    """
+    from scipy.optimize import minimize
+
+    thetas = np.linspace(0.0, np.pi / 2, grid_points)
+    phis = np.linspace(0.0, 2 * np.pi, grid_points, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    locals_ = np.stack(
+        [np.cos(tt).ravel(), (np.sin(tt) * np.exp(1j * pp)).ravel()], axis=1
+    )
+    states = np.einsum("ai,bj->abij", locals_, locals_).reshape(-1, 4)
+    out = states @ G.T
+    dets = np.abs(out[:, 0] * out[:, 3] - out[:, 1] * out[:, 2])
+    flat = int(np.argmax(dets))
+    ia, ib = divmod(flat, grid_points * grid_points)
+
+    def angles_of(index):
+        i, j = divmod(index, grid_points)
+        return float(thetas[i]), float(phis[j])
+
+    def negdet(x):
+        psi = G @ np.kron(_bloch(x[0], x[1]), _bloch(x[2], x[3]))
+        return -abs(psi[0] * psi[3] - psi[1] * psi[2])
+
+    res = minimize(
+        negdet,
+        np.array(angles_of(ia) + angles_of(ib)),
+        method="Nelder-Mead",
+        options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 600},
+    )
+    return max(-res.fun, dets[flat])
+
+
+def random_unitary_4(rng):
+    Z = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / np.sqrt(2)
+    Q, R = np.linalg.qr(Z)
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def cartan_gate(a, b, c):
+    """exp(i (a XX + b YY + c ZZ))."""
+    X = np.array([[0, 1], [1, 0]])
+    Y = np.array([[0, -1j], [1j, 0]])
+    Z = np.diag([1, -1])
+    H = a * np.kron(X, X) + b * np.kron(Y, Y) + c * np.kron(Z, Z)
+    lam, V = np.linalg.eigh(H)
+    return V @ np.diag(np.exp(1j * lam)) @ V.conj().T
+
+
+def entangling_members(count):
+    rng = np.random.default_rng(606)
+    gates = []
+    while len(gates) < count:
+        for family in ("F1", "F3", "F4"):
+            M = family_member(random_family_spec(family, rng))
+            if is_entangling_gate(M, witness=False).entangling:
+                gates.append(M)
+    return gates
+
+
+def haar_gates(count):
+    rng = np.random.default_rng(707)
+    return [random_unitary_4(rng) for _ in range(count)]
+
+
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+WITNESS_INPUTS = {
+    "family_members": lambda: entangling_members(510),
+    "haar": lambda: haar_gates(300),
+    "cartan": lambda: [
+        cartan_gate(np.pi / 4, np.pi / 8, 0.0),
+        cartan_gate(np.pi / 4 - 1e-7, 0.0, 0.0),
+        cartan_gate(1e-5, 0.0, 0.0),
+    ],
+    "cnot_and_hadamard_swap": lambda: [CNOT, HADA_SWAP],
+}
+
+
+@pytest.mark.parametrize("source", sorted(WITNESS_INPUTS))
+def test_closed_form_witness_never_below_reference_search(source):
+    for G in WITNESS_INPUTS[source]():
+        report = is_entangling_gate(G)
+        assert report.entangling
+        w = report.witness
+        assert w.output_pair_determinant >= reference_witness_determinant(G) - 1e-12
+        assert abs(w.state.pair_determinant) <= 1e-12
+        out = G @ w.state.vec
+        out_det = abs(out[0] * out[3] - out[1] * out[2])
+        assert abs(out_det - w.output_pair_determinant) <= 1e-12
+        rebuilt = np.kron(_bloch(*w.angles[:2]), _bloch(*w.angles[2:]))
+        phase = np.vdot(rebuilt, w.state.vec)
+        assert np.linalg.norm(rebuilt * phase / abs(phase) - w.state.vec) <= 1e-12

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ybe4
 from ybe4.cli import main
 from ybe4.core import swap_matrix
 from ybe4.matrixio import read_matrix_file, write_matrix_file
@@ -304,3 +309,48 @@ def test_usage_error_exits_two(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("filter", "--samples", "1", "--rel-tol", "nan"),
+        ("filter", "--samples", "1", "--rel-tol", "-1"),
+        ("verify", "hada_swap", "--res-tol", "nan"),
+        ("classify", "hada_swap", "--res-tol", "nan"),
+    ],
+)
+def test_bad_tolerance_is_a_constraint_violation(capsys, fixtures, argv):
+    # a NaN or negative bound would fail or pass every check silently
+    argv = [fixtures.get(arg, arg) for arg in argv]
+    code, report, _ = run(capsys, *argv)
+    assert code == 4
+    assert report["error"]["type"] == "ConstraintViolation"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bracket", "--r", "0.5", "--g", "inf"),
+        ("generate", "--family", "3", "--params", "p=nan,q=1"),
+    ],
+)
+def test_non_finite_number_is_a_parse_error(capsys, argv):
+    code, report, _ = run(capsys, *argv)
+    assert code == 2
+    assert report["error"]["type"] == "ParseError"
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(ybe4.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, ybe4.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "False"

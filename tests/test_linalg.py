@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ybe4.errors import NonConvergence, SingularMatrix
+from ybe4.errors import ConstraintViolation, NonConvergence, SingularMatrix
 from ybe4.linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -223,3 +223,10 @@ def test_default_tolerance_values():
     assert DEFAULT_TOL.eq_tol == 1e-9
     assert DEFAULT_TOL.residual_tol == 1e-9
     assert DEFAULT_TOL.singular_tol == 1e-6
+
+
+@pytest.mark.parametrize("field", ["eq_tol", "residual_tol", "singular_tol"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-9])
+def test_tolerance_rejects_non_positive_or_non_finite(field, bad):
+    with pytest.raises(ConstraintViolation):
+        Tolerance(**{field: bad})
