@@ -91,8 +91,8 @@ class SkeinTriple:
     @classmethod
     def from_seed(cls, N: np.ndarray) -> "SkeinTriple":
         N = np.asarray(N, dtype=complex)
-        U = odot(N, inverse(N))
-        return cls(N=N, U=U, delta=complex(np.sum(N * inverse(N))))
+        Ninv = inverse(N)
+        return cls(N=N, U=odot(N, Ninv), delta=complex(np.sum(N * Ninv)))
 
     def idempotency_defect(self) -> float:
         """Frobenius norm of U^2 - delta U; zero up to rounding, always."""

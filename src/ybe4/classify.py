@@ -11,12 +11,14 @@ questions about such a gate are answered here:
   where product states are the vectors a with a^T a = 0.
 
 * which of the five families does it belong to, and for which data
-  (Q, k, parameters)?  The stages F5, F1, F4 and F3 each read Q, k and the
-  parameters off the spectral or tensor structure of the input in closed
-  form; members of F2 always carry a diagonal-family certificate and are
-  tagged F1.  Every accepted answer carries a reconstruction whose distance
-  to the input is at most 1e-6, so the result is a checkable certificate,
-  not a heuristic label.
+  (Q, k, parameters)?  The F5 stage reads k off the trace.  The F1, F4 and
+  F3 stages share one reader: M = R_b P, M^4 and M^2 are diagonal in a
+  product basis U (x) U of their members, U comes in closed form from the
+  realignment, and k and the parameters are read from M in that basis.
+  Members of F2 always carry a diagonal-family certificate and are tagged
+  F1.  Every accepted answer carries a reconstruction whose distance to
+  the input is at most 1e-6, so the result is a checkable certificate, not
+  a heuristic label.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import braided_residual, swap_matrix
-from .errors import ConstraintViolation, NonConvergence, NotASolution, NotUnitary
+from .errors import ConstraintViolation, DimensionError, NotASolution, NotUnitary
 from .families import FamilySpec, family_member
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_square,
     dagger,
-    eigenvalues,
     frobenius,
     is_unitary,
     kron,
@@ -99,7 +100,7 @@ def realign(G: np.ndarray) -> np.ndarray:
     """Reshuffle G so that local pairs A (x) B become rank-1 matrices."""
     G = as_square(G)
     if G.shape != (4, 4):
-        raise ValueError("realignment is defined for 4x4 matrices here")
+        raise DimensionError("realignment is defined for 4x4 matrices here")
     return G.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
@@ -248,15 +249,6 @@ class ClassificationResult:
     message: str
 
 
-def _greedy_multiset_distance(got, want) -> float:
-    pool = list(got)
-    worst = 0.0
-    for w in want:
-        i = int(np.argmin([abs(g - w) for g in pool]))
-        worst = max(worst, abs(pool.pop(i) - w))
-    return worst
-
-
 def _accept(Rb: np.ndarray, spec: FamilySpec, message: str) -> ClassificationResult | None:
     try:
         member = family_member(spec)
@@ -276,193 +268,58 @@ def _try_f5(Rb: np.ndarray) -> ClassificationResult | None:
     return _accept(Rb, spec, "scalar multiple of the identity")
 
 
-def _unit_eigvec_2x2(N: np.ndarray, rel_gap: float = 1e-6) -> np.ndarray | None:
-    """A unit eigenvector of a normal 2x2 matrix, or None when degenerate."""
-    lams = eigenvalues(N)
-    gap = abs(lams[0] - lams[1])
-    if gap <= rel_gap * (abs(lams[0]) + abs(lams[1]) + 1e-3):
-        return None
-    lam = lams[0]
-    c1 = np.array([N[0, 1], lam - N[0, 0]])
-    c2 = np.array([lam - N[1, 1], N[1, 0]])
-    v = c1 if np.linalg.norm(c1) >= np.linalg.norm(c2) else c2
-    n = np.linalg.norm(v)
-    if n < 1e-12:
-        return None
-    return v / n
+_VEC_I = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
 
 
-def _orth_complement(u: np.ndarray) -> np.ndarray:
-    return np.array([-np.conj(u[1]), np.conj(u[0])])
+def _local_basis(X: np.ndarray) -> np.ndarray:
+    """Unitary U with (U (x) U)^dag X (U (x) U) diagonal, for X that has one.
 
-
-def _f1_from_basis(Rb: np.ndarray, M: np.ndarray, u0: np.ndarray) -> ClassificationResult | None:
-    u1 = _orth_complement(u0)
-    for cols in ((u0, u1), (u1, u0)):
-        Q = np.column_stack(cols)
-        A = kron(Q, Q)
-        C = dagger(A) @ M @ A
-        k = C[0, 0]
-        if abs(k) < 1e-8:
-            continue
-        params = {"p": C[1, 1] / k, "q": C[2, 2] / k, "r": C[3, 3] / k}
-        # snap the moduli the family demands; the rebuild check has the last word
-        params = {n: v / abs(v) if abs(v) > 1e-8 else v for n, v in params.items()}
-        spec = FamilySpec("F1", Q, k / abs(k), params)
-        got = _accept(Rb, spec, "diagonal pattern via partial-trace eigenbasis")
-        if got:
-            return got
-    return None
-
-
-def _eigen_cluster_basis(M: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal bases of 2-dim eigenspaces of a normal matrix."""
-    lams = eigenvalues(M)
-    scale = max(abs(l) for l in lams) + 1e-12
-    clusters: list[list[complex]] = []
-    for lam in lams:
-        for cl in clusters:
-            if abs(lam - cl[0]) <= 1e-6 * scale:
-                cl.append(lam)
-                break
-        else:
-            clusters.append([lam])
-    bases = []
-    eye = np.eye(4, dtype=complex)
-    for cl in clusters:
-        if len(cl) != 2:
-            continue
-        lam_c = sum(cl) / len(cl)
-        P = eye.copy()
-        for other in clusters:
-            if other is cl:
-                continue
-            lam_o = sum(other) / len(other)
-            P = P @ (M - lam_o * eye) / (lam_c - lam_o)
-        # two dominant columns of the spectral projector span the eigenspace
-        order = np.argsort(-np.linalg.norm(P, axis=0))
-        v1 = P[:, order[0]]
-        v1 = v1 / np.linalg.norm(v1)
-        v2 = P[:, order[1]] - v1 * np.vdot(v1, P[:, order[1]])
-        n2 = np.linalg.norm(v2)
-        if n2 < 1e-8:
-            continue
-        bases.append(np.column_stack([v1, v2 / n2]))
-    return bases
-
-
-def _product_vectors_in_span(V: np.ndarray) -> list[np.ndarray]:
-    """Product vectors inside a 2-dim subspace of C^2 (x) C^2."""
-    M1, M2 = V[:, 0].reshape(2, 2), V[:, 1].reshape(2, 2)
-    c20 = M1[0, 0] * M1[1, 1] - M1[0, 1] * M1[1, 0]
-    c02 = M2[0, 0] * M2[1, 1] - M2[0, 1] * M2[1, 0]
-    c11 = (
-        M1[0, 0] * M2[1, 1]
-        + M2[0, 0] * M1[1, 1]
-        - M1[0, 1] * M2[1, 0]
-        - M2[0, 1] * M1[1, 0]
-    )
-    pairs: list[tuple[complex, complex]]
-    if abs(c20) <= 1e-12 and abs(c02) <= 1e-12 and abs(c11) <= 1e-12:
-        pairs = [(1, 0), (0, 1)]
-    elif abs(c20) <= 1e-10 * max(abs(c11), abs(c02), 1e-30):
-        pairs = [(1, 0)]
-        if abs(c11) > 1e-12:
-            pairs.append((-c02 / c11, 1))
-    else:
-        disc = np.sqrt(c11 * c11 - 4 * c20 * c02 + 0j)
-        pairs = [((-c11 + disc) / (2 * c20), 1), ((-c11 - disc) / (2 * c20), 1)]
-    out = []
-    for alpha, beta in pairs:
-        w = alpha * V[:, 0] + beta * V[:, 1]
-        n = np.linalg.norm(w)
-        if n > 1e-10:
-            out.append(w / n)
-    return out
+    With N = U Z U^dag such an X is a I + b N (x) I + c I (x) N + e N (x) N,
+    so the columns of its realignment and of the transpose lie in the span
+    of vec(I) and vec(N), and tr N = 0 makes the two orthogonal.  With
+    vec(I) projected out, every column is a multiple of vec(N).
+    """
+    R = realign(X)
+    R = np.hstack([R, R.T])
+    R = R - np.outer(_VEC_I, _VEC_I @ R)
+    S = R[:, int(np.argmax(np.linalg.norm(R, axis=0)))].reshape(2, 2)
+    # N is Hermitian with tr(N N) = 2, which fixes the phase of S up to sign
+    S = S * np.exp(-0.5j * np.angle(np.trace(S @ S)))
+    _, U = np.linalg.eigh(S + dagger(S))
+    if abs(U[0, 0]) ** 2 < 0.5:
+        U = U[:, ::-1]  # keep the corners of Q away from zero
+    return U
 
 
 def _try_f1(Rb: np.ndarray) -> ClassificationResult | None:
+    # An F1 member is M = Rb P = k (U (x) U) diag(1, p, q, r) (U (x) U)^dag
+    # with U unitary: a Gram-diagonal Q is U diag(s1, s2), and the diagonal
+    # factor commutes with the pattern.
     M = Rb @ _SWAP
-    k0 = np.trace(M) / 4
-    if abs(k0) > 0.5 and frobenius(M - k0 * np.eye(4)) <= _ACCEPT:
-        spec = FamilySpec(
-            "F1", np.eye(2), k0 / abs(k0), {"p": 1.0, "q": 1.0, "r": 1.0}
-        )
-        got = _accept(Rb, spec, "diagonal pattern, scalar case")
-        if got:
-            return got
-    Mt = M.reshape(2, 2, 2, 2)
-    for N in (np.einsum("abcb->ac", Mt), np.einsum("abac->bc", Mt)):
-        u0 = _unit_eigvec_2x2(N)
-        if u0 is None:
-            continue
-        got = _f1_from_basis(Rb, M, u0)
-        if got:
-            return got
-    # both partial traces degenerate: dig the local basis out of a
-    # 2-dim eigenspace, whose product vectors factor through it
-    try:
-        bases = _eigen_cluster_basis(M)
-    except NonConvergence:
-        return None
-    for V in bases:
-        for w in _product_vectors_in_span(V):
-            W = w.reshape(2, 2)
-            u = W[:, int(np.argmax(np.linalg.norm(W, axis=0)))]
-            n = np.linalg.norm(u)
-            if n < 1e-8:
-                continue
-            got = _f1_from_basis(Rb, M, u / n)
-            if got:
-                return got
-    return None
+    U = _local_basis(M)
+    A = kron(U, U)
+    # snap the moduli the family demands; the rebuild check has the last word
+    d = np.exp(1j * np.angle(np.diag(dagger(A) @ M @ A)))
+    params = {"p": d[1] / d[0], "q": d[2] / d[0], "r": d[3] / d[0]}
+    spec = FamilySpec("F1", U, d[0], params)
+    return _accept(Rb, spec, "diagonal pattern in a product basis")
 
 
 def _try_f4(Rb: np.ndarray) -> ClassificationResult | None:
+    # An F4 member is M = k (U (x) U) H (U (x) U)^dag with U unitary, since
+    # |a| = |d| makes a Gram-diagonal Q a multiple of a unitary, and with H
+    # the Hadamard-like pattern H^4 = -Z (x) Z.  U comes back up to the order
+    # and the phases e^{i a}, e^{i b} of its columns; H commutes with Z (x) Z,
+    # so the phases act only through w = e^{i (b - a)}, up to sign, and
+    # C_03 / C_00 = w^-2 gives the Q = V diag(1, w) that undoes them.
     M = Rb @ _SWAP
-    try:
-        eigs = eigenvalues(M)
-    except NonConvergence:
-        return None
-    targets = np.array(
-        [np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4), 1.0, -1.0]
-    )
-    k = None
-    for lam in eigs:
-        for t in targets:
-            cand = lam / t
-            if abs(abs(cand) - 1.0) > 1e-4:
-                continue
-            if _greedy_multiset_distance(eigs, cand * targets) <= 1e-5:
-                k = cand
-                break
-        if k is not None:
-            break
-    if k is None:
-        return None
-    P = M / k
-    G4 = -(P @ P @ P @ P)
-    R1 = realign(G4)
-    if not _is_rank_one(R1, ratio=1e-5):
-        return None
-    col = R1[:, int(np.argmax(np.linalg.norm(R1, axis=0)))]
-    S_raw = col.reshape(2, 2)
-    S_raw = S_raw * (np.sqrt(2) / np.linalg.norm(S_raw))
-    tr2 = np.trace(S_raw @ S_raw) / 2
-    phi = np.angle(tr2) / 2
-    for sign in (1.0, -1.0):
-        S = sign * S_raw * np.exp(-1j * phi)
-        B = S + np.eye(2)
-        j = int(np.argmax(np.linalg.norm(B, axis=0)))
-        n = np.linalg.norm(B[:, j])
-        if n < 1e-6:
-            continue
-        u = B[:, j] / n
-        U = np.column_stack([u, _orth_complement(u)])
-        Pp = dagger(kron(U, U)) @ P @ kron(U, U)
-        gamma = np.angle(Pp[0, 3] * np.sqrt(2))
-        Q = U @ np.diag([1.0, np.exp(-1j * gamma / 2)])
-        spec = FamilySpec("F4", Q, k / abs(k))
+    U = _local_basis(np.linalg.matrix_power(M, 4))
+    for V in (U, U[:, ::-1]):
+        A = kron(V, V)
+        C = dagger(A) @ M @ A
+        w = np.exp(0.5j * (np.angle(C[0, 0]) - np.angle(C[0, 3])))
+        k = np.exp(1j * np.angle(C[0, 0]))
+        spec = FamilySpec("F4", V @ np.diag([1.0, w]), k)
         got = _accept(Rb, spec, "orthogonal pattern via fourth-power structure")
         if got:
             return got
@@ -473,17 +330,9 @@ def _try_f3(Rb: np.ndarray) -> ClassificationResult | None:
     # An F3 member is M = Rb P = k (U (x) U) A (U (x) U)^dag with U unitary
     # and A the anti-diagonal pattern with |p| = |q| = 1: a Gram-diagonal Q
     # is U diag(s1, s2), and the diagonal part moves into the moduli of p, q.
-    # A^2 = diag(pq, 1, 1, pq), so the traceless part of M^2 is
-    # k^2 (pq - 1)/2 N (x) N with N = U Z U^dag, whose realignment is rank one.
+    # A^2 = diag(pq, 1, 1, pq), so M^2 is diagonal in the U (x) U basis.
     M = Rb @ _SWAP
-    M2 = M @ M
-    R1 = realign(M2 - np.trace(M2) / 4 * np.eye(4))
-    S = R1[:, int(np.argmax(np.linalg.norm(R1, axis=0)))].reshape(2, 2)
-    # N is Hermitian with tr(N N) = 2, which fixes the phase of S up to sign
-    S = S * np.exp(-0.5j * np.angle(np.trace(S @ S)))
-    _, U = np.linalg.eigh(S + dagger(S))
-    if abs(U[0, 0]) ** 2 < 0.5:
-        U = U[:, ::-1]  # keep the corners of Q away from zero
+    U = _local_basis(M @ M)
     A = kron(U, U)
     C = dagger(A) @ M @ A
     k = (C[1, 2] + C[2, 1]) / 2
@@ -506,9 +355,11 @@ def classify(
 
     Stages run in the order F5, F1, F4, F3 and the first stage whose
     reconstruction lands within 1e-6 of the input wins.  Every stage reads
-    its certificate off the structure of the input in closed form, so the
-    result is deterministic and ``rng`` is ignored (it is accepted for
-    callers written against the earlier randomized search).  The families
+    its certificate off the structure of the input in closed form, with no
+    search and no eigenvalue solver (F1, F4 and F3 take the local unitary U
+    from the realignment of M, M^4 and M^2, M = R_b P), so the result is
+    deterministic and ``rng`` is ignored (it is accepted for callers
+    written against the earlier randomized search).  The families
     genuinely overlap, so the label is a canonical choice, not an exclusive
     one: scalars sit in several families, and every member of the
     anti-diagonal pattern with p q = 1 (all of F2, whose Q forces it, and
@@ -519,7 +370,7 @@ def classify(
     """
     Rb = as_square(Rb)
     if Rb.shape != (4, 4):
-        raise ValueError(f"classification needs a 4x4 matrix, got {Rb.shape}")
+        raise DimensionError(f"classification needs a 4x4 matrix, got {Rb.shape}")
     ok, defect = is_unitary(Rb, tol)
     if not ok:
         raise NotUnitary(f"input has unitarity defect {defect:.3e}")

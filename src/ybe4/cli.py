@@ -22,10 +22,9 @@ import numpy as np
 
 from .bracket import (
     BracketParams,
+    SkeinTriple,
     bracket_R,
     bracket_to_family,
-    loop_value,
-    odot,
     unitary_bracket_family,
 )
 from .classify import classify, is_entangling_gate
@@ -40,7 +39,7 @@ from .errors import (
     Ybe4Error,
 )
 from .families import FamilySpec, family_member, random_family_spec, run_elimination
-from .linalg import DEFAULT_TOL, Tolerance, frobenius, inverse, is_unitary
+from .linalg import DEFAULT_TOL, Tolerance, frobenius, is_unitary
 from .matrixio import (
     dump_report,
     matrix_payload,
@@ -319,8 +318,8 @@ def _cmd_bracket(args) -> tuple[dict, bool]:
         _require_finite(f"--{name}", getattr(args, name))
     params = BracketParams(r=args.r, g=args.g, p=args.p)
     N, R = unitary_bracket_family(params)
-    U = odot(N, inverse(N))
-    delta = loop_value(N)
+    triple = SkeinTriple.from_seed(N)
+    U, delta = triple.U, triple.delta
     _, r_defect = is_unitary(R, tol)
     checks = [
         _check("seed inverse-conjugate", frobenius(np.conj(N) @ N - np.eye(2)), 1e-12),

@@ -56,5 +56,8 @@ class ParseError(Ybe4Error):
     """A matrix file is malformed or violates the schema."""
 
 
-class DimensionError(Ybe4Error):
-    """A matrix has the wrong dimension for the requested operation."""
+class DimensionError(Ybe4Error, ValueError):
+    """A matrix has the wrong dimension for the requested operation.
+
+    Also a ValueError, so callers that catch the built-in keep working.
+    """

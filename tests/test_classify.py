@@ -14,7 +14,7 @@ from ybe4.classify import (
     realign,
 )
 from ybe4.core import braided_residual, swap_matrix
-from ybe4.errors import NotASolution, NotUnitary
+from ybe4.errors import DimensionError, NotASolution, NotUnitary
 from ybe4.families import FamilySpec, family_member, random_family_spec
 from ybe4.linalg import frobenius, kron
 
@@ -163,6 +163,12 @@ def test_classify_rejects_bad_inputs():
         classify(2 * np.eye(4))
     with pytest.raises(ValueError):
         classify(np.eye(9))
+    with pytest.raises(DimensionError):
+        classify(np.eye(9))
+    with pytest.raises(DimensionError):
+        realign(np.eye(2))
+    with pytest.raises(DimensionError):
+        is_entangling_gate(np.eye(2))
     rng = np.random.default_rng(6)
     Z = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / np.sqrt(2)
     Q, R = np.linalg.qr(Z)
@@ -198,20 +204,51 @@ def test_classify_roundtrip(family):
         assert frobenius(rebuilt - Rb) <= 1e-6
 
 
-def test_classify_degenerate_diagonal_member():
-    # equal middle parameters with r = 1 defeat both partial traces; the
-    # eigenspace product-vector fallback has to recover the local basis
+@pytest.mark.parametrize(
+    "pattern",
+    ["1pp1", "111r", "1p1p", "11qq", "1--1"],
+)
+def test_classify_degenerate_diagonal_member(pattern):
+    # repeated diagonal entries give M repeated eigenvalues, whose
+    # eigenspaces do not single out the product basis; the realignment
+    # still does, whichever of the terms N (x) I, I (x) N and N (x) N
+    # survive in M
     rng = np.random.default_rng(9)
     for _ in range(5):
         base = random_family_spec("F1", rng)
         phase = np.exp(2j * np.pi * rng.uniform())
-        spec = FamilySpec(
-            "F1", base.Q, base.k, {"p": phase, "q": phase, "r": 1.0}
-        )
-        Rb = family_member(spec)
+        values = {"1": 1.0, "-": -1.0, "p": phase, "q": phase, "r": phase}
+        params = dict(zip("pqr", (values[c] for c in pattern[1:])))
+        Rb = family_member(FamilySpec("F1", base.Q, base.k, params))
         res = classify(Rb)
         assert res.family == "F1"
         assert res.residual <= 1e-6
+
+
+MOTIVATING_NEAR_SCALAR = FamilySpec(
+    "F1",
+    np.eye(2),
+    1.0,
+    {"p": np.exp(3e-6j), "q": np.exp(-2e-6j), "r": np.exp(5e-6j)},
+)
+
+
+@pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8])
+def test_near_scalar_diagonal_members_certify_exactly(delta):
+    # with all three phases within delta of 1 the product basis is carried
+    # by a term of size delta next to the scalar part; it is still read
+    # exactly, and the certificate rebuilds to rounding
+    rng = np.random.default_rng(14)
+    specs = [MOTIVATING_NEAR_SCALAR]
+    for _ in range(40):
+        base = random_family_spec("F1", rng)
+        phases = np.exp(1j * delta * rng.uniform(-1, 1, size=3))
+        specs.append(FamilySpec("F1", base.Q, base.k, dict(zip("pqr", phases))))
+    for spec in specs:
+        Rb = family_member(spec)
+        res = classify(Rb)
+        assert res.family == "F1"
+        assert frobenius(family_member(res.spec) - Rb) <= 1e-12
 
 
 def test_classify_returns_dataclass():
@@ -220,10 +257,14 @@ def test_classify_returns_dataclass():
     assert res.message
 
 
-@pytest.mark.parametrize("family, n, tag", [("F2", 200, "F1"), ("F3", 500, "F3")])
+@pytest.mark.parametrize(
+    "family, n, tag",
+    [("F1", 300, "F1"), ("F2", 200, "F1"), ("F3", 500, "F3"), ("F4", 300, "F4")],
+)
 def test_sampled_members_certify_in_closed_form(family, n, tag):
-    # F2 forces p q = 1, so the diagonal stage certifies every member; F3
-    # members are read off the squared structure without any search
+    # F2 forces p q = 1, so the diagonal stage certifies every member; the
+    # product basis of F1, F3 and F4 members is read off M, M^2 and M^4
+    # without any search
     rng = np.random.default_rng(10)
     for _ in range(n):
         Rb = family_member(random_family_spec(family, rng))

@@ -223,6 +223,16 @@ def test_classify_fixed_points(capsys, fixtures):
     assert report["witness"]["output_pair_determinant"] >= 0.4
 
 
+def test_classify_near_scalar_diagonal_member(capsys, tmp_path):
+    phases = np.exp(1j * np.array([0.0, 3e-6, -2e-6, 5e-6]))
+    path = tmp_path / "near_scalar.json"
+    write_matrix_file(str(path), np.diag(phases) @ swap_matrix(2), {"name": "near"})
+    code, report, _ = run(capsys, "classify", str(path))
+    assert code == 0
+    assert report["family"] == "F1"
+    assert report["certificate_residual"] <= 1e-12
+
+
 def test_classify_not_a_solution(capsys, fixtures):
     code, report, _ = run(capsys, "classify", fixtures["random"])
     assert code == 5
