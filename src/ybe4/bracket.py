@@ -71,8 +71,7 @@ def odot(N: np.ndarray, K: np.ndarray) -> np.ndarray:
 
 def loop_value(N: np.ndarray) -> complex:
     """delta = entrywise-product sum of N and N^-1 (no transpose, no conjugate)."""
-    N = np.asarray(N, dtype=complex)
-    return complex(np.sum(N * inverse(N)))
+    return SkeinTriple.from_seed(N).delta
 
 
 def skein_delta(alpha: complex) -> complex:
@@ -106,8 +105,7 @@ def bracket_R(alpha: complex, N: np.ndarray) -> np.ndarray:
     skein_delta(alpha); that consistency is the caller's to check (see
     SkeinTriple), not enforced here.
     """
-    N = np.asarray(N, dtype=complex)
-    U = odot(N, inverse(N))
+    U = SkeinTriple.from_seed(N).U
     dim = U.shape[0]
     return alpha * np.eye(dim, dtype=complex) + U / alpha
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrix, SizeExceeded
+from .errors import DimensionError, SingularMatrix, SizeExceeded
 from .linalg import as_square, frobenius, inverse, kron
 
 __all__ = [
@@ -50,7 +50,7 @@ def _split_dim(R: np.ndarray) -> int:
     n = R.shape[0]
     d = round(n ** 0.5)
     if d * d != n:
-        raise ValueError(f"matrix of size {n} is not an operator on a tensor square")
+        raise DimensionError(f"matrix of size {n} is not an operator on a tensor square")
     return d
 
 

@@ -431,43 +431,29 @@ def hietarinta_candidates() -> tuple[CandidateRep, ...]:
     )
 
 
+_CASE_BUILDERS: dict[str, Callable[..., np.ndarray]] = {
+    "R12": lambda p, q, k, s: _r12(1.0, q, k),
+    "R13": lambda p, q, k, s: _r13(1.0, p, q),
+    "R21": lambda p, q, k, s: _r21(1.0, p, q),
+    "R22": lambda p, q, k, s: _r22(1.0, p, q),
+    "R23": lambda p, q, k, s: _r23(1.0, p, q, s),
+    "R31": lambda p, q, k, s: _r31(1.0, p, q, k),
+}
+
+
 def case_matrix(name: str, **params: complex) -> np.ndarray:
     """Scaled one-parameter-removed forms used in the per-candidate case analysis.
 
     Each candidate that survives the eigenvalue filter is normalized by its
     leading entry before the Gram condition D = 0 is examined entry by entry;
-    these are those normalized forms.
+    these are those normalized forms: the inventory builder with its leading
+    parameter set to 1, every other parameter defaulting to 1.
     """
-    p = params.get("p", 1.0)
-    q = params.get("q", 1.0)
-    k = params.get("k", 1.0)
-    s = params.get("s", 1.0)
-    if name == "R12":
-        return np.array(
-            [[1, 0, 0, k], [0, 1, 1 - q, 0], [0, 0, q, 0], [0, 0, 0, -q]],
-            dtype=complex,
-        )
-    if name == "R13":
-        return np.array(
-            [[1, p, -p, p * q], [0, 1, 0, q], [0, 0, 1, -q], [0, 0, 0, 1]],
-            dtype=complex,
-        )
-    if name == "R21":
-        return np.array(
-            [[1, 0, 0, 0], [0, p, 1 - p * q, 0], [0, 0, q, 0], [0, 0, 0, 1]],
-            dtype=complex,
-        )
-    if name == "R22":
-        M = case_matrix("R21", p=p, q=q)
-        M[3, 3] = -p * q
-        return M
-    if name == "R23":
-        return np.array(
-            [[1, p, q, s], [0, 1, 0, q], [0, 0, 1, p], [0, 0, 0, 1]], dtype=complex
-        )
-    if name == "R31":
-        return np.diag([1, p, q, k]).astype(complex)
-    raise ValueError(f"no scaled case form for {name!r}")
+    if name not in _CASE_BUILDERS:
+        raise ValueError(f"no scaled case form for {name!r}")
+    return _CASE_BUILDERS[name](
+        *(params.get(key, 1.0) for key in ("p", "q", "k", "s"))
+    )
 
 
 def run_elimination(

@@ -4,19 +4,21 @@ Everything here operates on small (dim <= 8) complex matrices stored as
 ``numpy.ndarray`` with dtype complex128.  Matrix products, Kronecker
 products and norms defer to numpy.  Inversion is explicit Gauss-Jordan, so
 a singular pivot surfaces as SingularMatrix.  Eigenvalue roots come from
-LAPACK; they are then merged into exact multiple roots where they cluster
-(relative to the matrix scale) and checked against the independently
-computed Faddeev-LeVerrier characteristic polynomial, so a root that does
-not solve it surfaces as NonConvergence instead of silent garbage.
+LAPACK; where they cluster (relative to the matrix scale) each cluster is
+replaced by its mean, an exact multiple root, and every root is checked
+against the independently computed Faddeev-LeVerrier characteristic
+polynomial, so a root that does not solve it surfaces as NonConvergence
+instead of silent garbage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import combinations
 
 import numpy as np
 
-from .errors import ConstraintViolation, NonConvergence, SingularMatrix
+from .errors import ConstraintViolation, DimensionError, NonConvergence, SingularMatrix
 
 __all__ = [
     "Tolerance",
@@ -64,10 +66,10 @@ DEFAULT_TOL = Tolerance()
 
 
 def as_square(obj) -> np.ndarray:
-    """Coerce to a square complex128 array, rejecting non-finite entries."""
+    """Coerce to square complex128; DimensionError if not square, ValueError if not finite."""
     A = np.asarray(obj, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+        raise DimensionError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
     return A
@@ -139,16 +141,6 @@ def char_poly(A: np.ndarray) -> tuple[complex, ...]:
     return tuple(coeffs)
 
 
-def _poly_eval(coeffs: np.ndarray, z: complex) -> tuple[complex, complex]:
-    """Horner evaluation of p(z) and p'(z) for descending coefficients."""
-    p = coeffs[0]
-    dp = 0.0 + 0.0j
-    for c in coeffs[1:]:
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
 # Computed roots of an m-fold eigenvalue scatter in a ring of radius about
 # eps**(1/m) times the matrix scale; the per-multiplicity radii below, taken
 # relative to max|A|, bound that scatter while staying far smaller than any
@@ -156,63 +148,30 @@ def _poly_eval(coeffs: np.ndarray, z: complex) -> tuple[complex, complex]:
 _CLUSTER_RADIUS = {2: 5e-6, 3: 5e-4, 4: 8e-3}
 
 
-def _cluster_allowance(m: int) -> float:
-    return _CLUSTER_RADIUS.get(m, 2e-2)
-
-
-def _poly_derivative(coeffs: np.ndarray, order: int) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=complex)
-    for _ in range(order):
-        deg = len(c) - 1
-        c = c[:-1] * np.arange(deg, 0, -1)
-    return c
-
-
-def _merge_root_clusters(
-    roots: list[complex], coeffs: np.ndarray, scale: float
-) -> list[complex]:
-    """Replace scattered multiple-root clusters by one refined value.
+def _merge_root_clusters(roots: np.ndarray, scale: float) -> np.ndarray:
+    """Replace each scattered multiple-root cluster by its mean.
 
     Individual computed roots of an m-fold eigenvalue are only accurate to
     eps**(1/m) relative to ``scale`` (max|A| of the matrix they came from),
-    so m roots merge when their diameter is within _cluster_allowance(m) *
-    scale; the test is unchanged under A -> c*A.  An m-fold root of p is a
-    simple root of the (m-1)-th derivative, so Newton iteration on that
-    derivative starting from the cluster mean recovers it to near machine
-    precision.
+    so m roots merge, largest m first, when their diameter is within
+    _CLUSTER_RADIUS.get(m, 2e-2) * scale; the test is unchanged under
+    A -> c*A.  The leading eps**(1/m) terms spread evenly round the ring and
+    cancel in the mean, which is accurate to rounding (Wilkinson, The
+    Algebraic Eigenvalue Problem, 1965).  The mean replaces every member in
+    place, so the roots keep the order LAPACK gave them.
     """
-    from itertools import combinations
-
-    n = len(roots)
-    used = [False] * n
-    out: list[complex] = []
+    out = np.array(roots, dtype=complex)
+    n = len(out)
+    dist = np.abs(out[:, None] - out).tolist()
+    merged: set[int] = set()
     for m in range(n, 1, -1):
-        free = [i for i in range(n) if not used[i]]
-        for combo in combinations(free, m):
-            if any(used[i] for i in combo):
-                continue
-            vals = [roots[i] for i in combo]
-            mu = sum(vals) / m
-            diam = max(abs(u - v) for u in vals for v in vals)
-            allow = _cluster_allowance(m) * scale
-            if diam > allow:
-                continue
-            q = _poly_derivative(coeffs, m - 1)
-            z = mu
-            for _ in range(50):
-                val, dval = _poly_eval(q, z)
-                if dval == 0:
-                    break
-                step = val / dval
-                z = z - step
-                if abs(step) <= 1e-16 * (1.0 + abs(z)):
-                    break
-            if abs(z - mu) > allow:
-                z = mu
-            for i in combo:
-                used[i] = True
-            out.extend([z] * m)
-    out.extend(roots[i] for i in range(n) if not used[i])
+        allow = _CLUSTER_RADIUS.get(m, 2e-2) * scale
+        for idx in map(list, combinations(range(n), m)):
+            if merged.isdisjoint(idx) and all(
+                dist[i][j] <= allow for i, j in combinations(idx, 2)
+            ):
+                out[idx] = out[idx].mean()
+                merged.update(idx)
     return out
 
 
@@ -220,7 +179,7 @@ def eigenvalues(A: np.ndarray) -> np.ndarray:
     """Eigenvalues of a small complex matrix.
 
     Roots come from LAPACK (``numpy.linalg.eigvals``).  Near-coincident
-    roots are then merged into exact multiple roots (see
+    roots are then merged into exact multiple roots at their mean (see
     _merge_root_clusters), which keeps defective spectra exact, and every
     root z must satisfy |p(z)| <= 1e-8 * sum_i |c_i| max(max|A|, |z|)^(n-i)
     for the Faddeev-LeVerrier characteristic polynomial p with coefficients
@@ -228,18 +187,18 @@ def eigenvalues(A: np.ndarray) -> np.ndarray:
     strict at every scale.  A root that misses raises NonConvergence.
     """
     A = as_square(A)
-    n = A.shape[0]
     coeffs = np.asarray(char_poly(A))
     scale = float(np.abs(A).max())
-    merged = _merge_root_clusters(list(np.linalg.eigvals(A)), coeffs, scale)
-    for z in merged:
-        p, _ = _poly_eval(coeffs, z)
-        bound = sum(abs(c) * max(scale, abs(z)) ** (n - i) for i, c in enumerate(coeffs))
-        if abs(p) > 1e-8 * bound:
-            raise NonConvergence(
-                f"root residual {abs(p):.3e} exceeds 1e-8 * {bound:.3e}"
-            )
-    return np.asarray(merged)
+    roots = _merge_root_clusters(np.linalg.eigvals(A), scale)
+    residual = np.abs(np.polyval(coeffs, roots))
+    bound = np.polyval(np.abs(coeffs), np.maximum(scale, np.abs(roots)))
+    bad = np.flatnonzero(residual > 1e-8 * bound)
+    if bad.size:
+        i = bad[0]
+        raise NonConvergence(
+            f"root residual {residual[i]:.3e} exceeds 1e-8 * {bound[i]:.3e}"
+        )
+    return roots
 
 
 def is_unitary(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:

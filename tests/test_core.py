@@ -18,7 +18,7 @@ from ybe4.core import (
     is_braided_solution,
     swap_matrix,
 )
-from ybe4.errors import SingularMatrix, SizeExceeded
+from ybe4.errors import DimensionError, SingularMatrix, SizeExceeded
 
 SWAP = swap_matrix(2)
 HADA = np.array(
@@ -141,6 +141,9 @@ def test_contraction_residual_rejects_unknown_form():
 def test_residual_rejects_non_tensor_square():
     with pytest.raises(ValueError):
         braided_residual(np.eye(5))
+    for residual in (braided_residual, algebraic_residual):
+        with pytest.raises(DimensionError):
+            residual(np.eye(5))
 
 
 def test_braid_word_validation():

@@ -284,6 +284,13 @@ def test_eigenvalue_filter_accepts_unit_spectra():
     cand = {c.name: c for c in hietarinta_candidates()}
     assert eigenvalue_filter(cand["R13"].sample(rng))
     assert eigenvalue_filter(cand["R23"].sample(rng))
+    # raw draws are triangular, so LAPACK returns their diagonals exactly;
+    # conjugated by S they are not, and plain eigvals scatters the 4-fold
+    # root past rel_tol: only the cluster merge keeps these spectra flat
+    for name in ("R13", "R23"):
+        for _ in range(10):
+            S = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) + 3.0 * np.eye(4)
+            assert eigenvalue_filter(S @ cand[name].sample(rng) @ np.linalg.inv(S)), name
 
 
 def test_eigenvalue_filter_rejects_split_spectrum():

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ybe4.errors import ConstraintViolation, NonConvergence, SingularMatrix
+from ybe4.errors import ConstraintViolation, DimensionError, NonConvergence, SingularMatrix
 from ybe4.linalg import (
     DEFAULT_TOL,
     Tolerance,
+    as_square,
     char_poly,
     dagger,
     eigenvalues,
@@ -115,20 +116,39 @@ def test_eigenvalues_defective_multiple_roots():
     assert (mods.max() - mods.min()) / mods.max() < 1e-12
 
 
+# Upper triangular Jordan structures 4, 3+1 and 2+1+1 with their exact
+# spectra: the multiple root 1 sits in one nontrivial Jordan block
+JORDAN_STRUCTURES = (
+    (
+        np.array([[1, 2, -2, 4], [0, 1, 0, 3], [0, 0, 1, -3], [0, 0, 0, 1]]),
+        [1, 1, 1, 1],
+    ),
+    (
+        np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, -1]]),
+        [1, 1, 1, -1],
+    ),
+    (
+        np.array([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1j]]),
+        [1, 1, -1, 1j],
+    ),
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=-3.0, max_value=3.0), st.integers(0, 2**32 - 1))
 def test_eigenvalues_defective_root_is_scale_invariant(log_c, seed):
-    # c * S A S^-1 for the unipotent block above has the single 4-fold root c
+    # c * S B S^-1 keeps the multiple root c of every Jordan structure B
+    # exactly repeated, and every root within 1e-10 c of its exact value
     c = 10.0**log_c
-    A = np.array(
-        [[1, 2, -2, 4], [0, 1, 0, 3], [0, 0, 1, -3], [0, 0, 0, 1]], dtype=complex
-    )
     rng = np.random.default_rng(seed)
     S = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) + 3.0 * np.eye(4)
-    got = eigenvalues(c * S @ A @ np.linalg.inv(S))
-    assert len(got) == 4
-    assert np.all(got == got[0])
-    assert abs(got[0] - c) <= 1e-10 * c
+    for B, exact in JORDAN_STRUCTURES:
+        got = eigenvalues(c * S @ B @ np.linalg.inv(S))
+        assert len(got) == 4
+        multiple = got[np.abs(got - c) <= 1e-6 * c]
+        assert len(multiple) == exact.count(1)
+        assert np.all(multiple == multiple[0])
+        assert greedy_match(got, c * np.asarray(exact)) <= 1e-10 * c
 
 
 @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
@@ -173,6 +193,14 @@ def test_rejects_nonsquare_and_nonfinite():
         inverse(np.ones((2, 3)))
     with pytest.raises(ValueError):
         char_poly(np.array([[np.inf, 0], [0, 1]]))
+    # non-square input is a DimensionError, non-finite input a plain ValueError
+    with pytest.raises(DimensionError):
+        as_square(np.ones((2, 3)))
+    with pytest.raises(DimensionError):
+        eigenvalues(np.ones(4))
+    with pytest.raises(ValueError) as info:
+        as_square(np.array([[np.nan, 0], [0, 1]]))
+    assert not isinstance(info.value, DimensionError)
 
 
 small_complex = st.complex_numbers(
