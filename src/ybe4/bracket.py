@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import braided_residual
+from .core import solution_check
 from .errors import ConstraintViolation, DegenerateParameter, PreconditionFailed
-from .linalg import frobenius, inverse, kron
+from .linalg import DEFAULT_TOL, frobenius, inverse, kron
 
 __all__ = [
     "BracketParams",
@@ -179,26 +179,28 @@ def bracket_to_family(params: BracketParams) -> BracketReduction:
     makes M = Q N Q^t exactly diagonal; conjugating the braided solution by
     Q (x) Q yields the anti-diagonal pattern whose parameters have moduli
     r and 1/r, the constraints of the Gram-diagonal anti-diagonal family.
-    The scale of Q is a free choice, fixed to 1 here.
+    The scale of Q is a free choice, fixed to 1 here; Q^-1 is taken in
+    closed form.  |M00| = r |M11|, so M is singular for r <= singular_tol.
     """
-    if params.r <= 1e-9:
-        raise DegenerateParameter("r = 0 makes the congruence factor z blow up")
+    if params.r <= DEFAULT_TOL.singular_tol:
+        raise DegenerateParameter(f"r = {params.r} makes the diagonal seed M singular")
     N, R_hat = unitary_bracket_family(params)
     r, g, p = params.r, params.g, params.p
     z = -1j * np.sqrt(1.0 - r * r) * np.exp(1j * (p / 2.0 - g)) / np.sqrt(r)
     Q = np.array([[1.0, 0.0], [z, np.sqrt(r)]], dtype=complex)
+    Qinv = np.array([[1.0, 0.0], [-z / np.sqrt(r), 1.0 / np.sqrt(r)]], dtype=complex)
     M = Q @ N @ Q.T
     p0 = -M[0, 0] / M[1, 1]
     q0 = -M[1, 1] / M[0, 0]
-    A = kron(Q, Q)
-    R_conj = A @ R_hat @ inverse(A)
+    R_conj = kron(Q, Q) @ R_hat @ kron(Qinv, Qinv)
     ratio = abs(Q[1, 1]) ** 2 / abs(Q[0, 0]) ** 2
     defects = (
         float(abs(abs(p0) - ratio)),
         float(abs(abs(q0) - 1.0 / ratio)),
         float(abs(abs(p0 * q0) - 1.0)),
     )
-    family = "F3" if max(defects) <= 1e-9 and braided_residual(R_conj) <= 1e-8 else ""
+    residual, bound = solution_check(R_conj)
+    family = "F3" if max(defects) <= 1e-9 and residual <= bound else ""
     return BracketReduction(
         N=N,
         Q=Q,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import braided_residual, swap_matrix
+from .core import solution_check, swap_matrix
 from .errors import ConstraintViolation, DimensionError, NotASolution, NotUnitary
 from .families import FamilySpec, family_member
 from .linalg import (
@@ -249,9 +249,11 @@ class ClassificationResult:
     message: str
 
 
-def _accept(Rb: np.ndarray, spec: FamilySpec, message: str) -> ClassificationResult | None:
+def _accept(
+    Rb: np.ndarray, spec: FamilySpec, message: str, tol: Tolerance
+) -> ClassificationResult | None:
     try:
-        member = family_member(spec)
+        member = family_member(spec, tol=tol)
     except ConstraintViolation:
         return None
     residual = frobenius(member - Rb)
@@ -260,12 +262,12 @@ def _accept(Rb: np.ndarray, spec: FamilySpec, message: str) -> ClassificationRes
     return ClassificationResult(spec.family, spec, residual, message)
 
 
-def _try_f5(Rb: np.ndarray) -> ClassificationResult | None:
+def _try_f5(Rb: np.ndarray, tol: Tolerance) -> ClassificationResult | None:
     k = np.trace(Rb) / 4
     if abs(k) < 0.5:
         return None
     spec = FamilySpec("F5", np.eye(2), k / abs(k))
-    return _accept(Rb, spec, "scalar multiple of the identity")
+    return _accept(Rb, spec, "scalar multiple of the identity", tol)
 
 
 _VEC_I = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
@@ -291,7 +293,7 @@ def _local_basis(X: np.ndarray) -> np.ndarray:
     return U
 
 
-def _try_f1(Rb: np.ndarray) -> ClassificationResult | None:
+def _try_f1(Rb: np.ndarray, tol: Tolerance) -> ClassificationResult | None:
     # An F1 member is M = Rb P = k (U (x) U) diag(1, p, q, r) (U (x) U)^dag
     # with U unitary: a Gram-diagonal Q is U diag(s1, s2), and the diagonal
     # factor commutes with the pattern.
@@ -302,10 +304,10 @@ def _try_f1(Rb: np.ndarray) -> ClassificationResult | None:
     d = np.exp(1j * np.angle(np.diag(dagger(A) @ M @ A)))
     params = {"p": d[1] / d[0], "q": d[2] / d[0], "r": d[3] / d[0]}
     spec = FamilySpec("F1", U, d[0], params)
-    return _accept(Rb, spec, "diagonal pattern in a product basis")
+    return _accept(Rb, spec, "diagonal pattern in a product basis", tol)
 
 
-def _try_f4(Rb: np.ndarray) -> ClassificationResult | None:
+def _try_f4(Rb: np.ndarray, tol: Tolerance) -> ClassificationResult | None:
     # An F4 member is M = k (U (x) U) H (U (x) U)^dag with U unitary, since
     # |a| = |d| makes a Gram-diagonal Q a multiple of a unitary, and with H
     # the Hadamard-like pattern H^4 = -Z (x) Z.  U comes back up to the order
@@ -320,13 +322,13 @@ def _try_f4(Rb: np.ndarray) -> ClassificationResult | None:
         w = np.exp(0.5j * (np.angle(C[0, 0]) - np.angle(C[0, 3])))
         k = np.exp(1j * np.angle(C[0, 0]))
         spec = FamilySpec("F4", V @ np.diag([1.0, w]), k)
-        got = _accept(Rb, spec, "orthogonal pattern via fourth-power structure")
+        got = _accept(Rb, spec, "orthogonal pattern via fourth-power structure", tol)
         if got:
             return got
     return None
 
 
-def _try_f3(Rb: np.ndarray) -> ClassificationResult | None:
+def _try_f3(Rb: np.ndarray, tol: Tolerance) -> ClassificationResult | None:
     # An F3 member is M = Rb P = k (U (x) U) A (U (x) U)^dag with U unitary
     # and A the anti-diagonal pattern with |p| = |q| = 1: a Gram-diagonal Q
     # is U diag(s1, s2), and the diagonal part moves into the moduli of p, q.
@@ -343,7 +345,7 @@ def _try_f3(Rb: np.ndarray) -> ClassificationResult | None:
         return None
     # snap the moduli the family demands; the rebuild check has the last word
     spec = FamilySpec("F3", U, k / abs(k), {"p": p / abs(p), "q": q / abs(q)})
-    return _accept(Rb, spec, "anti-diagonal pattern, Gram-diagonal Q")
+    return _accept(Rb, spec, "anti-diagonal pattern, Gram-diagonal Q", tol)
 
 
 def classify(
@@ -366,7 +368,9 @@ def classify(
     the p q = 1 edge of F3) has eigenvalues {k, -k} with a product
     eigenbasis and therefore a valid diagonal-family certificate, which the
     F1 stage finds first.  No member is ever tagged F2.  Inputs that are not
-    unitary or not solutions are rejected with NotUnitary / NotASolution.
+    unitary or not solutions (core.solution_check) are rejected with
+    NotUnitary / NotASolution.  ``tol`` governs both checks and the
+    constraint checks on each certificate.
     """
     Rb = as_square(Rb)
     if Rb.shape != (4, 4):
@@ -374,11 +378,13 @@ def classify(
     ok, defect = is_unitary(Rb, tol)
     if not ok:
         raise NotUnitary(f"input has unitarity defect {defect:.3e}")
-    resid = braided_residual(Rb)
-    if resid > max(tol.residual_tol, 40 * tol.residual_tol * frobenius(Rb)):
-        raise NotASolution(f"braided equation residual {resid:.3e}")
+    resid, bound = solution_check(Rb, "braided", tol)
+    if resid > bound:
+        raise NotASolution(
+            f"braided equation residual {resid:.3e} exceeds bound {bound:.3e}"
+        )
     for stage in (_try_f5, _try_f1, _try_f4, _try_f3):
-        got = stage(Rb)
+        got = stage(Rb, tol)
         if got:
             return got
     return ClassificationResult(

@@ -6,9 +6,13 @@ numbers takes --seed, falling back to the YBE4_SEED environment variable
 and then to 0, so repeated runs are byte-identical.  classify also takes
 --seed and records it in its report; its result does not depend on it.
 
-Exit codes: 0 pass, 1 check failed, 2 parse error, 3 dimension error,
-4 constraint violation, 5 not a solution (or not unitary), 6 degenerate
-parameter.
+Every residual check on the equation takes its bound from
+core.solution_check: residual_tol * max(1, max|M|)**3, which is --res-tol
+itself for a unitary M.
+
+Exit codes: 0 pass, 1 check failed, 2 parse error (or a non-finite value,
+such as a residual that overflows), 3 dimension error, 4 constraint
+violation, 5 not a solution (or not unitary), 6 degenerate parameter.
 """
 
 from __future__ import annotations
@@ -28,11 +32,12 @@ from .bracket import (
     unitary_bracket_family,
 )
 from .classify import classify, is_entangling_gate
-from .core import algebraic_residual, braided_residual, contraction_residual
+from .core import contraction_residual, solution_check
 from .errors import (
     ConstraintViolation,
     DegenerateParameter,
     DimensionError,
+    NonFiniteValue,
     NotASolution,
     NotUnitary,
     ParseError,
@@ -54,6 +59,7 @@ REPORT_VERSION = "1"
 
 _ERROR_EXIT = (
     (ParseError, 2),
+    (NonFiniteValue, 2),
     (DimensionError, 3),
     (ConstraintViolation, 4),
     (NotASolution, 5),
@@ -133,22 +139,20 @@ def _cmd_verify(args) -> tuple[dict, bool]:
     tol = args.tol
     M, metadata = _load_solution_file(args.path)
     forms = ("braided", "algebraic") if args.form == "both" else (args.form,)
-    # each route rounds at the size of its cubic terms, ~max|M|**3, or of the
-    # residual itself when that is larger; both are 1 or less for unitary M.
-    # c*M solves the equation whenever M does, so the residual bound scales too
-    term_scale = float(np.abs(M).max()) ** 3
-    res_bound = tol.residual_tol * max(1.0, term_scale)
     checks = []
     for form in forms:
-        matrix_res = braided_residual(M) if form == "braided" else algebraic_residual(M)
+        matrix_res, bound = solution_check(M, form, tol)
         index_res = contraction_residual(M, form=form)
-        checks.append(_check(f"{form} embedding", matrix_res, res_bound))
-        checks.append(_check(f"{form} contraction", index_res, res_bound))
+        checks.append(_check(f"{form} embedding", matrix_res, bound))
+        checks.append(_check(f"{form} contraction", index_res, bound))
+        # the routes round apart at the size of the cubic terms, which
+        # bound / residual_tol = max(1, max|M|)**3 measures, or of the
+        # residual itself when that is larger
         checks.append(
             _check(
                 f"{form} route agreement",
                 abs(matrix_res - index_res),
-                1e-12 * max(1.0, term_scale, matrix_res, index_res),
+                1e-12 * max(bound / tol.residual_tol, matrix_res, index_res),
             )
         )
     ok = _all_pass(checks)
@@ -226,11 +230,9 @@ def _cmd_generate(args) -> tuple[dict, bool]:
             spec = random_family_spec(family, rng)
         M = family_member(spec, form=args.form, tol=tol)
         _, defect = is_unitary(M, tol)
-        residual = (
-            braided_residual(M) if args.form == "braided" else algebraic_residual(M)
-        )
+        residual, bound = solution_check(M, args.form, tol)
         checks.append(_check(f"member {index} unitarity", defect, tol.residual_tol))
-        checks.append(_check(f"member {index} residual", residual, tol.residual_tol))
+        checks.append(_check(f"member {index} residual", residual, bound))
         entry = {
             "index": index,
             "spec": _spec_payload(spec),
@@ -326,7 +328,7 @@ def _cmd_bracket(args) -> tuple[dict, bool]:
         _check("loop value is 2", abs(delta - 2.0), 1e-10),
         _check("projector relation", frobenius(U @ U - 2.0 * U), 1e-10),
         _check("solution unitarity", r_defect, tol.residual_tol),
-        _check("braided residual", braided_residual(R), tol.residual_tol),
+        _check("braided residual", *solution_check(R, "braided", tol)),
     ]
     payload = {
         "params": {"r": args.r, "g": args.g, "p": args.p, "alpha": _pair(1j)},

@@ -11,6 +11,12 @@ identity on the remaining slot.  The two forms are exchanged by composing
 with the swap operator: M satisfies the algebraic form exactly when M P
 satisfies the braided form, with P the swap.
 
+Whether R solves the equation is decided in one place, solution_check,
+which returns the embedding-route residual with the bound it must meet:
+tol.residual_tol * max(1, max|R|)**3, which is residual_tol for every
+unitary R.  Every command and is_braided_solution / is_algebraic_solution
+use it; contraction_residual is an independent cross-check of the residual.
+
 Matrix convention: entry R[d*a+b, d*i+j] is the coefficient of basis vector
 e_a (x) e_b in the image of e_i (x) e_j, i.e. upper indices label rows.
 """
@@ -21,13 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SingularMatrix, SizeExceeded
-from .linalg import as_square, frobenius, inverse, kron
+from .errors import DimensionError, NonFiniteValue, SingularMatrix, SizeExceeded
+from .linalg import DEFAULT_TOL, Tolerance, as_square, frobenius, inverse, kron
 
 __all__ = [
     "swap_matrix",
     "braided_residual",
     "algebraic_residual",
+    "solution_check",
     "is_braided_solution",
     "is_algebraic_solution",
     "contraction_residual",
@@ -82,12 +89,48 @@ def algebraic_residual(R: np.ndarray) -> float:
     return frobenius(R12 @ R13 @ R23 - R23 @ R13 @ R12)
 
 
-def is_braided_solution(R: np.ndarray, tol: float = 1e-9) -> bool:
-    return braided_residual(R) <= tol
+_RESIDUALS = {"braided": braided_residual, "algebraic": algebraic_residual}
 
 
-def is_algebraic_solution(R: np.ndarray, tol: float = 1e-9) -> bool:
-    return algebraic_residual(R) <= tol
+def solution_check(
+    R: np.ndarray, form: str = "braided", tol: Tolerance = DEFAULT_TOL
+) -> tuple[float, float]:
+    """(residual, bound): R solves the equation in ``form`` when residual <= bound.
+
+    The residual is the embedding route, braided_residual or
+    algebraic_residual.  The bound is
+
+        tol.residual_tol * max(1, max|R|)**3
+
+    Each side of the equation is a sum of products of three entries of R,
+    so both sides round at the size of max|R|**3; that is 1 or less for a
+    unitary R, whose bound is residual_tol itself.  c R solves the equation
+    whenever R does and its residual grows like c**3, so the bound grows
+    with it above unit size.  Raises ValueError for an unknown form and
+    NonFiniteValue when the bound or the residual overflows.
+    """
+    if form not in _RESIDUALS:
+        raise ValueError(f"unknown form {form!r}, expected 'braided' or 'algebraic'")
+    R = as_square(R)
+    scale = np.abs(R).max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = tol.residual_tol * max(1.0, scale) ** 3
+        residual = _RESIDUALS[form](R)
+    if not (np.isfinite(bound) and np.isfinite(residual)):
+        raise NonFiniteValue(
+            f"the {form} residual of a matrix with max entry {scale:.3e} overflows"
+        )
+    return residual, float(bound)
+
+
+def is_braided_solution(R: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    residual, bound = solution_check(R, "braided", tol)
+    return residual <= bound
+
+
+def is_algebraic_solution(R: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    residual, bound = solution_check(R, "algebraic", tol)
+    return residual <= bound
 
 
 # output indices x,y,z then input indices i,j,k, as in the formulas below

@@ -61,3 +61,12 @@ class DimensionError(Ybe4Error, ValueError):
 
     Also a ValueError, so callers that catch the built-in keep working.
     """
+
+
+class NonFiniteValue(Ybe4Error, ValueError):
+    """A matrix entry, or a quantity computed from it, is NaN or infinite.
+
+    Raised for non-finite input entries and for Yang-Baxter residuals or
+    bounds that overflow.  Also a ValueError, so callers that catch the
+    built-in keep working.
+    """

@@ -18,7 +18,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConstraintViolation, DimensionError, NonConvergence, SingularMatrix
+from .errors import (
+    ConstraintViolation,
+    DimensionError,
+    NonConvergence,
+    NonFiniteValue,
+    SingularMatrix,
+)
 
 __all__ = [
     "Tolerance",
@@ -66,12 +72,15 @@ DEFAULT_TOL = Tolerance()
 
 
 def as_square(obj) -> np.ndarray:
-    """Coerce to square complex128; DimensionError if not square, ValueError if not finite."""
+    """Coerce to square complex128.
+
+    Raises DimensionError if not square, NonFiniteValue if not finite.
+    """
     A = np.asarray(obj, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
-        raise ValueError("matrix contains non-finite entries")
+        raise NonFiniteValue("matrix contains non-finite entries")
     return A
 
 
