@@ -15,8 +15,24 @@ class NonConvergence(Ybe4Error):
     """A numerical result failed its own check.
 
     Raised, e.g., for an eigenvalue that does not root the characteristic
-    polynomial.
+    polynomial.  ``root``, ``residual`` and ``bound`` carry the failing
+    value, its residual and the bound that residual exceeded; ``index`` is
+    the row of the failing matrix when a stack was checked, else None.
     """
+
+    def __init__(
+        self,
+        message: str,
+        root: complex | None = None,
+        residual: float | None = None,
+        bound: float | None = None,
+        index: int | None = None,
+    ):
+        super().__init__(message)
+        self.root = root
+        self.residual = residual
+        self.bound = bound
+        self.index = index
 
 
 class SizeExceeded(Ybe4Error):

@@ -8,12 +8,15 @@ LAPACK; where they cluster (relative to the matrix scale) each cluster is
 replaced by its mean, an exact multiple root, and every root is checked
 against the independently computed Faddeev-LeVerrier characteristic
 polynomial, so a root that does not solve it surfaces as NonConvergence
-instead of silent garbage.
+instead of silent garbage.  ``char_poly`` and ``eigenvalues`` also take a
+stack of shape (..., n, n) and treat each matrix exactly as they treat it
+alone; a single matrix is a stack with no leading axes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -76,8 +79,14 @@ def as_square(obj) -> np.ndarray:
 
     Raises DimensionError if not square, NonFiniteValue if not finite.
     """
+    return _square(obj, stack=False)
+
+
+def _square(obj, stack: bool) -> np.ndarray:
+    """as_square, also accepting a stack of shape (..., n, n) when ``stack``."""
     A = np.asarray(obj, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    ndim_ok = A.ndim >= 2 if stack else A.ndim == 2
+    if not ndim_ok or A.shape[-2] != A.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise NonFiniteValue("matrix contains non-finite entries")
@@ -132,22 +141,23 @@ def inverse(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return np.ascontiguousarray(aug[:, n:])
 
 
-def char_poly(A: np.ndarray) -> tuple[complex, ...]:
+def char_poly(A: np.ndarray) -> np.ndarray:
     """Characteristic polynomial det(lambda*I - A) by the Faddeev-LeVerrier recursion.
 
     Returns monic coefficients in descending powers, so a dim-4 input
-    yields five numbers (1, c3, c2, c1, c0).
+    yields five numbers (1, c3, c2, c1, c0).  A stack of shape (..., n, n)
+    yields shape (..., n + 1): the recursion runs n stacked matmuls.
     """
-    A = as_square(A)
-    n = A.shape[0]
+    A = _square(A, stack=True)
+    n = A.shape[-1]
     eye = np.eye(n, dtype=complex)
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    M = np.zeros((n, n), dtype=complex)
+    coeffs = np.zeros(A.shape[:-2] + (n + 1,), dtype=complex)
+    coeffs[..., 0] = 1.0
+    M = np.zeros_like(A)
     for k in range(1, n + 1):
-        M = A @ M + coeffs[k - 1] * eye
-        coeffs[k] = -np.trace(A @ M) / k
-    return tuple(coeffs)
+        M = A @ M + coeffs[..., k - 1, None, None] * eye
+        coeffs[..., k] = -np.trace(A @ M, axis1=-2, axis2=-1) / k
+    return coeffs
 
 
 # Computed roots of an m-fold eigenvalue scatter in a ring of radius about
@@ -157,7 +167,7 @@ def char_poly(A: np.ndarray) -> tuple[complex, ...]:
 _CLUSTER_RADIUS = {2: 5e-6, 3: 5e-4, 4: 8e-3}
 
 
-def _merge_root_clusters(roots: np.ndarray, scale: float) -> np.ndarray:
+def _merge_root_clusters(roots: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Replace each scattered multiple-root cluster by its mean.
 
     Individual computed roots of an m-fold eigenvalue are only accurate to
@@ -168,24 +178,53 @@ def _merge_root_clusters(roots: np.ndarray, scale: float) -> np.ndarray:
     cancel in the mean, which is accurate to rounding (Wilkinson, The
     Algebraic Eigenvalue Problem, 1965).  The mean replaces every member in
     place, so the roots keep the order LAPACK gave them.
+
+    ``roots`` has shape (..., n) and ``scale`` the leading shape.  Each
+    index subset is one array step over all rows, taken in the same
+    largest-first ``combinations`` order, and a per-row mask keeps a root
+    in at most one cluster.
     """
     out = np.array(roots, dtype=complex)
-    n = len(out)
-    dist = np.abs(out[:, None] - out).tolist()
-    merged: set[int] = set()
-    for m in range(n, 1, -1):
-        allow = _CLUSTER_RADIUS.get(m, 2e-2) * scale
-        for idx in map(list, combinations(range(n), m)):
-            if merged.isdisjoint(idx) and all(
-                dist[i][j] <= allow for i, j in combinations(idx, 2)
-            ):
-                out[idx] = out[idx].mean()
-                merged.update(idx)
+    n = out.shape[-1]
+    rows = out.reshape(-1, n)
+    scale = np.reshape(scale, -1)
+    dist = np.abs(rows[:, :, None] - rows[:, None, :])
+    merged = np.zeros(rows.shape, dtype=bool)
+    for m, members, i, j in _subsets(n):
+        allow = (_CLUSTER_RADIUS.get(m, 2e-2) * scale)[:, None, None]
+        tight = (dist[:, i, j] <= allow).all(axis=2)
+        for c in np.flatnonzero(tight.any(axis=0)):
+            idx = members[c]
+            hit = tight[:, c] & ~merged[:, idx].any(axis=1)
+            if hit.any():
+                cell = np.ix_(hit, idx)
+                rows[cell] = rows[cell].mean(axis=1, keepdims=True)
+                merged[cell] = True
     return out
 
 
+@lru_cache
+def _subsets(n: int) -> tuple:
+    """(m, members, i, j) for m = n..2: the m-subsets of range(n) in
+    ``combinations`` order, and the ends i, j of each subset's pairs."""
+    out = []
+    for m in range(n, 1, -1):
+        members = np.array(list(combinations(range(n), m)))
+        pairs = np.array([list(combinations(idx, 2)) for idx in members])
+        out.append((m, members, pairs[..., 0], pairs[..., 1]))
+    return tuple(out)
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row of polynomial coefficients (..., n + 1) evaluated at x (..., m)."""
+    y = np.zeros_like(x)
+    for k in range(coeffs.shape[-1]):
+        y = y * x + coeffs[..., k, None]
+    return y
+
+
 def eigenvalues(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a small complex matrix.
+    """Eigenvalues of a small complex matrix, or of each matrix in a stack.
 
     Roots come from LAPACK (``numpy.linalg.eigvals``).  Near-coincident
     roots are then merged into exact multiple roots at their mean (see
@@ -193,19 +232,38 @@ def eigenvalues(A: np.ndarray) -> np.ndarray:
     root z must satisfy |p(z)| <= 1e-8 * sum_i |c_i| max(max|A|, |z|)^(n-i)
     for the Faddeev-LeVerrier characteristic polynomial p with coefficients
     c_i; the bound scales like p itself under A -> c*A, so the check is as
-    strict at every scale.  A root that misses raises NonConvergence.
+    strict at every scale.  A root that misses raises NonConvergence with
+    the root, its residual and the bound it exceeded.
+
+    A stack of shape (..., n, n) gives roots of shape (..., n), each row
+    computed and checked as that matrix alone would be; the error then
+    names the first failing matrix in row-major order as ``index``.
     """
-    A = as_square(A)
-    coeffs = np.asarray(char_poly(A))
-    scale = float(np.abs(A).max())
+    A = _square(A, stack=True)
+    coeffs = char_poly(A)
+    scale = np.abs(A).max(axis=(-2, -1))
     roots = _merge_root_clusters(np.linalg.eigvals(A), scale)
-    residual = np.abs(np.polyval(coeffs, roots))
-    bound = np.polyval(np.abs(coeffs), np.maximum(scale, np.abs(roots)))
-    bad = np.flatnonzero(residual > 1e-8 * bound)
-    if bad.size:
-        i = bad[0]
+    residual = np.abs(_horner(coeffs, roots))
+    bound = _horner(np.abs(coeffs), np.maximum(scale[..., None], np.abs(roots)))
+    bad = (residual > 1e-8 * bound).reshape(-1, A.shape[-1])
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=1)))
+        i = int(np.argmax(bad[row]))
+        root, res, lim = (
+            v.reshape(bad.shape)[row, i]
+            for v in (roots, residual, bound)
+        )
+        message = f"root residual {res:.3e} exceeds 1e-8 * {lim:.3e}"
+        index = None
+        if A.ndim > 2:
+            index = row
+            message += f" in stack row {row}"
         raise NonConvergence(
-            f"root residual {residual[i]:.3e} exceeds 1e-8 * {bound[i]:.3e}"
+            message,
+            root=complex(root),
+            residual=float(res),
+            bound=float(1e-8 * lim),
+            index=index,
         )
     return roots
 
@@ -214,5 +272,9 @@ def is_unitary(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float
     """Whether A†A = I within tol; returns (verdict, Frobenius defect)."""
     A = as_square(A)
     n = A.shape[0]
-    defect = frobenius(dagger(A) @ A - np.eye(n))
+    # entries near the float range overflow A†A; such an A is not unitary
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = frobenius(dagger(A) @ A - np.eye(n))
+    if not np.isfinite(defect):
+        return False, float("inf")
     return defect <= tol.residual_tol * n, defect

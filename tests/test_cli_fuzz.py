@@ -50,6 +50,8 @@ def run_clean(capsys, argv):
     return code
 
 
+# a numpy RuntimeWarning on stderr is noise the typed verdict should not need
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", sorted(MATRIX_FILES))
 @pytest.mark.parametrize(
     "command", [("verify",), ("verify", "--form", "both"), ("classify",)]

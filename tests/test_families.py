@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ybe4 import families
 from ybe4.core import algebraic_residual, braided_residual, swap_matrix
 from ybe4.errors import ConstraintViolation, SingularMatrix
 from ybe4.families import (
     FAMILY_NAMES,
+    CandidateRep,
     FamilySpec,
     case_matrix,
     d_matrix,
@@ -332,3 +334,180 @@ def test_short_elimination_run_eliminates_exactly_one():
 def test_random_family_spec_unknown_family():
     with pytest.raises(ValueError):
         random_family_spec("F7", np.random.default_rng(0))
+
+
+def _sequential_elimination(samples, seed, rel_tol=1e-6):
+    """Reference: the per-draw loop, one eigenvalue_filter call per draw."""
+    rng = np.random.default_rng(seed)
+    report = {}
+    for cand in families.hietarinta_candidates():
+        attempts = samples if cand.sampling else 1
+        passes = 0
+        redraws = 0
+        for _ in range(attempts):
+            while True:
+                M = cand.sample(rng)
+                try:
+                    ok = eigenvalue_filter(M, rel_tol)
+                except SingularMatrix:
+                    redraws += 1
+                    continue
+                break
+            passes += int(ok)
+        report[cand.name] = {
+            "attempts": attempts,
+            "passes": passes,
+            "pass_rate": passes / attempts,
+            "redraws": redraws,
+        }
+    report["eliminated"] = [
+        name
+        for name in sorted(report)
+        if isinstance(report[name], dict) and report[name]["pass_rate"] < 0.01
+    ]
+    return report
+
+
+@pytest.fixture
+def generators(monkeypatch):
+    """Every generator np.random.default_rng makes during the test, in order."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    return made
+
+
+def assert_matches_sequential(samples, seed, generators, rel_tol=1e-6):
+    want = _sequential_elimination(samples, seed, rel_tol)
+    got = run_elimination(samples, seed, rel_tol)
+    assert got == want, (samples, seed, rel_tol)
+    # both consumed the same draws: the generators end in the same state
+    ref, batched = generators[-2:]
+    assert batched.bit_generator.state == ref.bit_generator.state
+    return got
+
+
+@pytest.mark.parametrize(
+    "samples, seeds", [(1, range(30)), (20, range(30)), (1000, range(1, 4))]
+)
+def test_stacked_elimination_matches_per_draw_loop(samples, seeds, generators):
+    for seed in seeds:
+        assert_matches_sequential(samples, seed, generators)
+
+
+def _flaky(p):
+    # |p| < 0.4 (about 15 % of draws) spans 12 orders of modulus: a redraw;
+    # otherwise the draw passes unless |p| > 1.2
+    if abs(p) < 0.4:
+        return np.diag([1, 1, 1, 1e-12]).astype(complex)
+    return np.diag([1, p / abs(p), 1, 1 if abs(p) < 1.2 else 2]).astype(complex)
+
+
+@pytest.mark.parametrize("stack", [7, 1024])
+@pytest.mark.parametrize("samples", [20, 50])
+@pytest.mark.parametrize("rel_tol", [1e-6, 2.0])
+def test_stacked_elimination_redraws_like_per_draw_loop(
+    monkeypatch, generators, stack, samples, rel_tol
+):
+    inventory = {c.name: c for c in hietarinta_candidates()}
+    flaky = CandidateRep("RS", {"p": "generic"}, _flaky)
+    monkeypatch.setattr(
+        families,
+        "hietarinta_candidates",
+        lambda: (inventory["R01"], flaky, inventory["R11"], inventory["R13"]),
+    )
+    monkeypatch.setattr(families, "_FILTER_STACK", stack)
+    for seed in range(5):
+        got = assert_matches_sequential(samples, seed, generators, rel_tol)
+        assert got["RS"]["redraws"] > 0
+        if rel_tol < 1:
+            assert 0 < got["RS"]["passes"] < samples
+            assert got["eliminated"] == ["R11"]
+        else:
+            # a spread below 2 always passes, but a redraw still never counts
+            assert got["RS"]["passes"] == samples
+
+
+# Closed-form spectra of the inventory: R02, R03, R11 and R14 by hand, the
+# upper-triangular rest by their diagonals.
+SPECTRA = {
+    "R01": lambda: [1, -1, -1, 1],
+    "R02": lambda: [np.sqrt(2), -np.sqrt(2), 1 + 1j, 1 - 1j],
+    "R03": lambda: [1, 1, 1, -1],
+    "R11": lambda p, q: [2 * p * p, 2 * p * p, 2 * q * q, -2 * q * q],
+    "R12": lambda p, q, k: [p, p, q, -q],
+    "R13": lambda k, p, q: [k * k] * 4,
+    "R14": lambda p, q, k: [k, -k, np.sqrt(p * q), -np.sqrt(p * q)],
+    "R21": lambda k, p, q: [k * k, k * p, k * q, k * k],
+    "R22": lambda k, p, q: [k * k, k * p, k * q, -p * q],
+    "R23": lambda k, p, q, s: [k] * 4,
+    "R31": lambda k, p, q, s: [k, p, q, s],
+}
+
+
+def one_circle(name, params, rel_tol=1e-6):
+    """The filter's predicate on the closed-form spectrum: True, False, or
+    None for a draw whose spread lies within a factor 10 of rel_tol, where
+    rounding may tip either way."""
+    mods = np.abs(SPECTRA[name](**params))
+    spread = (mods.max() - mods.min()) / mods.max()
+    if rel_tol / 10 <= spread <= 10 * rel_tol:
+        return None
+    return bool(spread <= rel_tol)
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_filter_matches_closed_form_spectra(monkeypatch, conjugate):
+    inventory = hietarinta_candidates()
+    # R11 at |p| = |q| = 1 covers the pass side of the one candidate that fails
+    unit_r11 = CandidateRep("R11", {"p": "unit", "q": "unit"}, _r11)
+    rng_s = np.random.default_rng(29)
+    draws = []
+
+    def recorded(cand, key):
+        def build(**params):
+            M = cand.build(**params)
+            if conjugate:
+                S = rng_s.normal(size=(4, 4)) + 1j * rng_s.normal(size=(4, 4))
+                S += 3.0 * np.eye(4)
+                M = S @ M @ np.linalg.inv(S)
+            draws.append((key, cand.name, params, M))
+            return M
+
+        return CandidateRep(key, cand.sampling, build)
+
+    monkeypatch.setattr(
+        families,
+        "hietarinta_candidates",
+        lambda: tuple(recorded(c, c.name) for c in inventory)
+        + (recorded(unit_r11, "R11u"),),
+    )
+    report = run_elimination(samples=60, seed=3)
+    assert report["R11"]["passes"] == 0
+    assert report["R11u"]["passes"] == report["R11u"]["attempts"] == 60
+    for key, row in report.items():
+        if key == "eliminated":
+            continue
+        verdicts = [one_circle(name, params) for k, name, params, _ in draws if k == key]
+        assert len(verdicts) == row["attempts"] + row["redraws"]
+        sure = [v for v in verdicts if v is not None]
+        assert sum(sure) <= row["passes"] <= sum(sure) + verdicts.count(None), key
+    for _, name, params, M in draws:
+        want = one_circle(name, params)
+        if want is not None:
+            assert eigenvalue_filter(M) == want, (name, params)
+
+
+def test_filter_passes_r11_on_equal_moduli():
+    # R11 passes exactly on |p| = |q|: the spectrum is {2p^2, 2p^2, 2q^2, -2q^2}
+    p, q = 0.8 * np.exp(0.4j), 0.8 * np.exp(-1.3j)
+    M = _r11(p, q)
+    S = np.array([[2, 1j, 0, 0], [0, 1, 0.5, 0], [0, 0, 1, -1], [1, 0, 0, 1]])
+    assert eigenvalue_filter(M)
+    assert eigenvalue_filter(S @ M @ np.linalg.inv(S))
+    assert not eigenvalue_filter(_r11(p, 1.01 * q))

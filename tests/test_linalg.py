@@ -258,3 +258,80 @@ def test_default_tolerance_values():
 def test_tolerance_rejects_non_positive_or_non_finite(field, bad):
     with pytest.raises(ConstraintViolation):
         Tolerance(**{field: bad})
+
+
+def stack_of_mixed_spectra():
+    """Random, defective and scaled matrices, shaped (2, 3, 4, 4)."""
+    rng = np.random.default_rng(21)
+    mats = []
+    for c, (B, _) in zip((1e-2, 1.0, 1e2), JORDAN_STRUCTURES):
+        S = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) + 3.0 * np.eye(4)
+        mats.append(c * S @ B @ np.linalg.inv(S))
+    mats += [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2)]
+    mats.append(SWAP)
+    return np.array(mats).reshape(2, 3, 4, 4)
+
+
+def test_char_poly_and_eigenvalues_take_stacks():
+    # each matrix of a stack gets exactly the result it gets alone
+    stack = stack_of_mixed_spectra()
+    coeffs = char_poly(stack)
+    roots = eigenvalues(stack)
+    assert coeffs.shape == (2, 3, 5) and roots.shape == (2, 3, 4)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(coeffs[idx], char_poly(stack[idx]))
+        assert np.array_equal(roots[idx], eigenvalues(stack[idx]))
+    with pytest.raises(DimensionError):
+        eigenvalues(np.ones((2, 3, 4)))
+    with pytest.raises(DimensionError):
+        as_square(stack)
+
+
+def test_cluster_merge_takes_subsets_in_combinations_order():
+    # roots 1 + 0.0045 k, k = 0..5: all six span more than 0.02 max|A|, but
+    # both runs of five fit; a root joins at most one cluster, so only the
+    # first run in combinations order merges.  With 1.3 in place of the
+    # first root, the second run is the only one that fits, and it merges.
+    chain = 1 + 0.0045 * np.arange(6)
+    got = eigenvalues(np.array([np.diag(chain), np.diag(np.r_[1.3, chain[1:]])]))
+    assert np.all(got[0, :5] == got[0, 0]) and got[0, 5] == chain[5]
+    assert got[0, 0] == pytest.approx(chain[:5].mean(), abs=1e-15)
+    assert got[1, 0] == 1.3 and np.all(got[1, 1:] == got[1, 1])
+    assert got[1, 1] == pytest.approx(chain[1:].mean(), abs=1e-15)
+
+
+def test_non_convergence_carries_root_residual_and_bound(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvals", lambda A: np.array([1.5, 2, 3, 4]))
+    with pytest.raises(NonConvergence) as info:
+        eigenvalues(np.diag([1.0, 2.0, 3.0, 4.0]))
+    err = info.value
+    # p(1.5) = (0.5)(-0.5)(-1.5)(-2.5) for p(z) = (z-1)(z-2)(z-3)(z-4)
+    assert err.root == 1.5 and err.index is None
+    assert err.residual == pytest.approx(0.9375, rel=1e-12)
+    assert err.residual > err.bound > 0
+    assert str(err) == f"root residual 9.375e-01 exceeds 1e-8 * {err.bound / 1e-8:.3e}"
+    assert "stack row" not in str(err)
+
+
+def test_non_convergence_names_the_first_failing_stack_row(monkeypatch):
+    eigvals = np.linalg.eigvals
+
+    def corrupt_rows_2_and_4(A):
+        roots = eigvals(A)
+        roots[[2, 4], 1] += 0.25
+        return roots
+
+    monkeypatch.setattr(np.linalg, "eigvals", corrupt_rows_2_and_4)
+    stack = np.array([np.diag([1.0, 2.0, 3.0, 4.0]) * (i + 1) for i in range(6)])
+    with pytest.raises(NonConvergence) as info:
+        eigenvalues(stack)
+    assert info.value.index == 2
+    assert info.value.residual > info.value.bound
+    assert str(info.value).endswith("in stack row 2")
+
+
+@pytest.mark.filterwarnings("error")
+def test_is_unitary_on_overflowing_entries():
+    # A†A overflows; the verdict is False with an infinite defect, silently
+    ok, defect = is_unitary(np.full((4, 4), 1e300))
+    assert not ok and defect == np.inf
