@@ -220,7 +220,9 @@ def braid_rep(R: np.ndarray, word: BraidWord, max_strands: int = 6) -> np.ndarra
                     Rinv = inverse(R)
                 except SingularMatrix as err:
                     raise SingularMatrix(
-                        "braid word uses an inverse letter but R is singular"
+                        "braid word uses an inverse letter but R is singular",
+                        value=err.value,
+                        bound=err.bound,
                     ) from err
             block = Rinv
         gen = kron(

@@ -8,7 +8,19 @@ class Ybe4Error(Exception):
 
 
 class SingularMatrix(Ybe4Error):
-    """A matrix required to be invertible is singular to working precision."""
+    """A matrix required to be invertible is singular to working precision.
+
+    ``value`` is the smallest singular value and ``bound`` the threshold it
+    failed to exceed (``singular_tol`` times the largest singular value);
+    both are None where the check was not a singular-value test.
+    """
+
+    def __init__(
+        self, message: str, value: float | None = None, bound: float | None = None
+    ):
+        super().__init__(message)
+        self.value = value
+        self.bound = bound
 
 
 class NonConvergence(Ybe4Error):

@@ -149,7 +149,12 @@ def family_representative(spec: FamilySpec) -> np.ndarray:
 
 
 def validate_spec(spec: FamilySpec, tol: Tolerance = DEFAULT_TOL) -> list[str]:
-    """Constraint violations for this spec; empty when it is a valid member."""
+    """Constraint violations for this spec; empty when it is a valid member.
+
+    Every test on Q is relative to its own scale (the Gram entries to their
+    trace, the corners to max|Q|), so Q and c*Q get the same verdict, as
+    they give the same member.
+    """
     out: list[str] = []
     Q = spec.Q
     try:
@@ -161,6 +166,7 @@ def validate_spec(spec: FamilySpec, tol: Tolerance = DEFAULT_TOL) -> list[str]:
         out.append(f"|k| = {abs(spec.k):.6g} is not 1")
     g = gram(Q)
     scale = g.x + g.y
+    qmax = np.abs(Q).max()
     z_small = abs(g.z) <= tol.eq_tol * scale
     fam, pa = spec.family, spec.params
     if fam == "F1":
@@ -178,7 +184,7 @@ def validate_spec(spec: FamilySpec, tol: Tolerance = DEFAULT_TOL) -> list[str]:
         if not z_small:
             out.append(f"F3 needs Gram off-diagonal zero, got |z| = {abs(g.z):.3g}")
         a, d = Q[0, 0], Q[1, 1]
-        if abs(a) <= tol.singular_tol or abs(d) <= tol.singular_tol:
+        if min(abs(a), abs(d)) <= tol.singular_tol * qmax:
             out.append("F3 needs nonvanishing corner entries a, d")
         else:
             want_p = abs(d) ** 2 / abs(a) ** 2
@@ -193,7 +199,7 @@ def validate_spec(spec: FamilySpec, tol: Tolerance = DEFAULT_TOL) -> list[str]:
     elif fam == "F4":
         if not z_small:
             out.append(f"F4 needs Gram off-diagonal zero, got |z| = {abs(g.z):.3g}")
-        if abs(abs(Q[0, 0]) - abs(Q[1, 1])) > tol.eq_tol * max(1.0, abs(Q[0, 0])):
+        if abs(abs(Q[0, 0]) - abs(Q[1, 1])) > tol.eq_tol * qmax:
             out.append(
                 f"F4 needs |a| = |d|, got {abs(Q[0, 0]):.6g} vs {abs(Q[1, 1]):.6g}"
             )

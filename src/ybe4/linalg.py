@@ -2,8 +2,9 @@
 
 Everything here operates on small (dim <= 8) complex matrices stored as
 ``numpy.ndarray`` with dtype complex128.  Matrix products, Kronecker
-products and norms defer to numpy.  Inversion is explicit Gauss-Jordan, so
-a singular pivot surfaces as SingularMatrix.  Eigenvalue roots come from
+products and norms defer to numpy.  Inversion is LAPACK's, behind one
+scale-free test: a smallest singular value at most ``singular_tol`` times
+the largest surfaces as SingularMatrix.  Eigenvalue roots come from
 LAPACK; where they cluster (relative to the matrix scale) each cluster is
 replaced by its mean, an exact multiple root, and every root is checked
 against the independently computed Faddeev-LeVerrier characteristic
@@ -15,6 +16,7 @@ alone; a single matrix is a stack with no leading axes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import combinations
@@ -49,7 +51,8 @@ class Tolerance:
 
     eq_tol        entrywise equality comparisons
     residual_tol  Frobenius-norm residual checks (unitarity, YBE)
-    singular_tol  relative pivot threshold for declaring a matrix singular
+    singular_tol  relative threshold for a vanishing quantity; a matrix is
+                  singular when sigma_min <= singular_tol * sigma_max
     """
 
     eq_tol: float = 1e-9
@@ -113,32 +116,41 @@ def frobenius(A: np.ndarray) -> float:
 
 
 def inverse(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Matrix inverse by Gauss-Jordan elimination with partial pivoting.
+    """Matrix inverse from LAPACK, refused when A is singular to working precision.
 
-    Raises SingularMatrix when the best available pivot falls below
-    ``tol.singular_tol`` relative to the magnitude of the input.
+    Raises SingularMatrix when the smallest singular value is at most
+    ``tol.singular_tol`` times the largest; the test is unchanged under
+    A -> c*A and covers the zero matrix (0 <= 0).  LAPACK inverts A times a
+    power of two near 1/sigma_max.  That rescaling is exact, so in the
+    normal float range the result is bitwise LAPACK's inverse of A, and
+    near the ends of the range the elimination cannot overflow.  Raises
+    NonFiniteValue when the singular values or the inverse are not
+    representable.
     """
     A = as_square(A)
-    n = A.shape[0]
-    scale = np.abs(A).max()
-    if scale == 0.0:
-        raise SingularMatrix("zero matrix has no inverse")
-    aug = np.hstack([A.copy(), np.eye(n, dtype=complex)])
-    for col in range(n):
-        piv_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        piv = aug[piv_row, col]
-        if abs(piv) <= tol.singular_tol * scale:
-            raise SingularMatrix(
-                f"pivot {abs(piv):.3e} below threshold {tol.singular_tol * scale:.3e} "
-                f"in column {col}"
-            )
-        if piv_row != col:
-            aug[[col, piv_row]] = aug[[piv_row, col]]
-        aug[col] /= aug[col, col]
-        for row in range(n):
-            if row != col and aug[row, col] != 0:
-                aug[row] -= aug[row, col] * aug[col]
-    return np.ascontiguousarray(aug[:, n:])
+    s = np.linalg.svd(A, compute_uv=False)
+    if not math.isfinite(s[0]):
+        raise NonFiniteValue("singular values of the matrix overflow")
+    bound = tol.singular_tol * s[0]
+    if s[-1] <= bound:
+        raise SingularMatrix(
+            f"smallest singular value {s[-1]:.3e} <= {bound:.3e} "
+            "(singular_tol times the largest)",
+            value=float(s[-1]),
+            bound=float(bound),
+        )
+    # clamped so that the factor itself is a finite float
+    scale = 2.0 ** -min(max(math.frexp(s[0])[1], -1000), 1000)
+    try:
+        Ainv = np.linalg.inv(scale * A)
+    except np.linalg.LinAlgError as err:  # an exact zero pivot under a tiny tol
+        raise SingularMatrix(
+            "LAPACK met an exactly zero pivot", value=float(s[-1]), bound=float(bound)
+        ) from err
+    # Python float arithmetic: an overflow here is inf, not a warning
+    if not math.isfinite(float(np.abs(Ainv).max()) * scale):
+        raise NonFiniteValue("inverse overflows the float range")
+    return Ainv * scale
 
 
 def char_poly(A: np.ndarray) -> np.ndarray:

@@ -169,6 +169,11 @@ def test_braid_rep_singular_inverse():
     sing = np.diag([1, 1, 1, 0]).astype(complex)
     with pytest.raises(SingularMatrix):
         braid_rep(sing, BraidWord(2, ((1, -1),)))
+    near = np.diag([2, 1, 1, 1e-7]).astype(complex)
+    with pytest.raises(SingularMatrix) as info:
+        braid_rep(near, BraidWord(2, ((1, -1),)))
+    assert info.value.value == pytest.approx(1e-7)
+    assert info.value.bound == pytest.approx(2e-6)
 
 
 def test_braid_rep_size_cap():

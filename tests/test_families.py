@@ -159,6 +159,48 @@ def test_validation_catches_broken_specs():
         family_member(FamilySpec("F5", np.eye(2), k=2.0))
 
 
+# an anti-diagonal F4 Q: corners tiny and equal within eq_tol * max|Q|
+ANTI_F4 = np.array([[1e-12, 1], [1, 0]], dtype=complex)
+
+
+def _scale_cases():
+    rng = np.random.default_rng(21)
+    cases = [random_family_spec(f, rng) for f in FAMILY_NAMES for _ in range(4)]
+    shear = np.array([[1, 0.5], [0, 1]], dtype=complex)
+    cases += [
+        FamilySpec("F4", np.diag([1.0, 2.0])),
+        FamilySpec("F4", ANTI_F4),
+        FamilySpec("F1", shear, params={"p": 1, "q": 1, "r": 1}),
+        FamilySpec("F2", np.eye(2)),
+        FamilySpec("F3", np.diag([1.0, 2.0]), params={"p": 1, "q": 1}),
+        FamilySpec("F3", np.diag([1.0, 2.0]), params={"p": 4, "q": 0.25}),
+        FamilySpec("F3", np.diag([1e-8, 1.0]), params={"p": 1e16, "q": 1e-16}),
+        FamilySpec("F5", np.diag([1.0, 1e-8])),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("c", [1e-10, 1e-7, 1e-3, 1e3, 1e7, 1e10])
+def test_validation_is_scale_free(c):
+    """Q and c Q give the same member, so they get the same verdict."""
+    for spec in _scale_cases():
+        scaled = FamilySpec(spec.family, c * spec.Q, spec.k, spec.params)
+        assert bool(validate_spec(scaled)) == bool(validate_spec(spec)), (spec, c)
+        if not validate_spec(scaled):
+            ok, defect = is_unitary(family_member(scaled))
+            assert ok, (spec, c, defect)
+
+
+def test_validation_of_tiny_q():
+    # unequal corners stay unequal at any scale
+    tiny_f4 = FamilySpec("F4", 1e-10 * np.diag([1.0, 2.0]))
+    assert any("|a| = |d|" in v for v in validate_spec(tiny_f4))
+    assert validate_spec(FamilySpec("F4", ANTI_F4)) == []
+    # a valid F3 spec stays valid when Q shrinks
+    spec = random_family_spec("F3", np.random.default_rng(1))
+    assert validate_spec(FamilySpec("F3", 1e-7 * spec.Q, spec.k, spec.params)) == []
+
+
 def test_member_form_flag():
     spec = FamilySpec("F5", np.eye(2))
     assert np.allclose(family_member(spec, form="algebraic"), SWAP)

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ybe4.errors import ConstraintViolation, DimensionError, NonConvergence, SingularMatrix
+from ybe4.errors import (
+    ConstraintViolation,
+    DimensionError,
+    NonConvergence,
+    NonFiniteValue,
+    SingularMatrix,
+)
 from ybe4.linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -76,6 +82,79 @@ def test_inverse_respects_pivot_threshold():
     # a looser threshold lets the same matrix through
     loose = Tolerance(singular_tol=1e-12)
     assert np.allclose(A @ inverse(A, tol=loose), np.eye(2), atol=1e-6)
+
+
+def test_singular_matrix_carries_singular_values():
+    with pytest.raises(SingularMatrix) as info:
+        inverse(np.diag([2.0, 1e-7]))
+    assert info.value.value == pytest.approx(1e-7)
+    assert info.value.bound == pytest.approx(2.0 * DEFAULT_TOL.singular_tol)
+    with pytest.raises(SingularMatrix) as info:
+        inverse(np.zeros((2, 2)))
+    assert info.value.value == 0.0 and info.value.bound == 0.0
+
+
+def test_inverse_exact_zero_pivot_under_tiny_tol_is_singular():
+    # sigma_min is rounding noise, far above a 1e-300 threshold, and LAPACK
+    # meets an exact zero pivot
+    tiny = Tolerance(singular_tol=1e-300)
+    with pytest.raises(SingularMatrix) as info:
+        inverse(np.array([[1, 2], [2, 4]], dtype=complex), tol=tiny)
+    assert info.value.value > info.value.bound
+
+
+@pytest.mark.filterwarnings("error")
+def test_inverse_at_the_ends_of_the_float_range():
+    # 1/5e-324 is not a float: typed error, no overflow warning
+    with pytest.raises(NonFiniteValue):
+        inverse(5e-324 * np.eye(2))
+    # singular values past the float range
+    big = 1.7e308 * np.array([[1, 1], [1, -1]], dtype=complex)
+    with pytest.raises(NonFiniteValue):
+        inverse(big)
+    # a representable inverse whose elimination would overflow unscaled
+    A = 1e308 * np.array([[1, 1], [1, -1]], dtype=complex)
+    Ainv = inverse(A)
+    assert np.allclose(A @ Ainv, np.eye(2), atol=1e-12)
+
+
+def test_inverse_is_lapacks_inverse_bitwise():
+    rng = np.random.default_rng(4)
+    for n in (2, 3, 4):
+        for scale in (1e-200, 1e-3, 1.0, 7e5, 1e200):
+            A = scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            assert np.array_equal(inverse(A), np.linalg.inv(A))
+
+
+def _unitary(rng, n):
+    Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    Q, R = np.linalg.qr(Z)
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-150, 150),
+    log_ratio=st.floats(-12, 0).filter(
+        lambda x: abs(x - np.log10(DEFAULT_TOL.singular_tol)) >= np.log10(2)
+    ),
+)
+def test_inverse_raises_exactly_below_singular_value_ratio(n, seed, log_scale, log_ratio):
+    """A = U diag(s) V^dag: SingularMatrix exactly when s_min / s_max <= singular_tol."""
+    rng = np.random.default_rng(seed)
+    s_max, ratio = 10.0**log_scale, 10.0**log_ratio
+    inner = 10.0 ** rng.uniform(log_ratio, 0.0, n - 2)
+    s = s_max * np.sort(np.r_[1.0, inner, ratio])[::-1]
+    A = _unitary(rng, n) @ np.diag(s) @ dagger(_unitary(rng, n))
+    if ratio <= DEFAULT_TOL.singular_tol:
+        with pytest.raises(SingularMatrix) as info:
+            inverse(A)
+        assert info.value.value <= info.value.bound
+        return
+    cond = 1.0 / ratio
+    assert frobenius(A @ inverse(A) - np.eye(n)) <= 1e-12 * cond
 
 
 def test_char_poly_identity():
