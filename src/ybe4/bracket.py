@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import solution_check
 from .errors import ConstraintViolation, DegenerateParameter, PreconditionFailed
 from .linalg import DEFAULT_TOL, frobenius, inverse, kron
 
@@ -46,18 +45,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BracketParams:
-    """Seed parameters: radial weight r in [0,1], phases g and p, unit alpha."""
+    """Unitary seed parameters: radial weight r in [0,1] and phases g and p.
+
+    alpha is not a parameter: the unitary subfamily has alpha = i throughout
+    (see unitary_bracket_family); bracket_R takes a general alpha.
+    """
 
     r: float
     g: float = 0.0
     p: float = 0.0
-    alpha: complex = 1j
 
     def __post_init__(self):
         if not 0.0 <= self.r <= 1.0:
             raise ConstraintViolation(f"r = {self.r} outside [0, 1]")
-        if abs(abs(self.alpha) - 1.0) > 1e-9:
-            raise ConstraintViolation(f"|alpha| = {abs(self.alpha)} is not 1")
 
 
 def odot(N: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -116,13 +116,9 @@ def unitary_bracket_family(params: BracketParams) -> tuple[np.ndarray, np.ndarra
     The off-diagonal carries an explicit factor i: for 0 < r < 1 the
     inverse-conjugate condition forces the shared off-diagonal entry to be
     purely imaginary times e^{ip/2}, and with it det N = e^{ip} on the whole
-    range of r.  Requires alpha = i, the only (up to sign) unit alpha whose
-    demanded loop value matches the delta = 2 these seeds produce.
+    range of r.  R is built with alpha = i, the only (up to sign) unit alpha
+    whose demanded loop value matches the delta = 2 these seeds produce.
     """
-    if params.alpha != 1j:
-        raise ConstraintViolation(
-            "the unitary subfamily needs alpha = i; use bracket_R for general alpha"
-        )
     r, g, p = params.r, params.g, params.p
     off = 1j * np.sqrt(1.0 - r * r) * np.exp(0.5j * p)
     N = np.array(
@@ -159,7 +155,11 @@ def delta_lower_bound(N: np.ndarray) -> tuple[complex, float]:
 
 @dataclass(frozen=True, eq=False)
 class BracketReduction:
-    """Congruence data taking a unitary seed to the anti-diagonal family."""
+    """Congruence data taking a unitary seed to the anti-diagonal family.
+
+    ``family`` is "F3" exactly when every (name, residual, bound) triple in
+    ``checks`` has residual <= bound, and "" otherwise.
+    """
 
     N: np.ndarray
     Q: np.ndarray
@@ -170,6 +170,7 @@ class BracketReduction:
     R_conjugated: np.ndarray
     family: str
     constraint_defects: tuple[float, float, float]
+    checks: tuple[tuple[str, float, float], ...]
 
 
 def bracket_to_family(params: BracketParams) -> BracketReduction:
@@ -177,12 +178,20 @@ def bracket_to_family(params: BracketParams) -> BracketReduction:
 
     Q = [[1, 0], [z, sqrt(r)]] with z = -i sqrt(1-r^2) e^{i(p/2-g)} / sqrt(r)
     makes M = Q N Q^t exactly diagonal; conjugating the braided solution by
-    Q (x) Q yields the anti-diagonal pattern whose parameters have moduli
-    r and 1/r, the constraints of the Gram-diagonal anti-diagonal family.
+    Q (x) Q yields the anti-diagonal pattern bracket_R(i, M) whose
+    parameters have moduli r and 1/r, the constraints of the Gram-diagonal
+    anti-diagonal family.  That pattern solves the braided equation for any
+    parameters, so the F3 tag needs only the three ``checks``: M is
+    diagonal, R_conj is the pattern, and the moduli meet the constraints.
+    Each bound is a DEFAULT_TOL field times the closed-form size of the
+    entries compared, taken from r rather than from the computed matrices
+    so a wrong R_conj cannot widen its own bound: eq_tol for M (moduli r
+    and 1), residual_tol and eq_tol times max(1, 1/r) for R_conj (|q0| = 1/r).
     The scale of Q is a free choice, fixed to 1 here; Q^-1 is taken in
     closed form.  |M00| = r |M11|, so M is singular for r <= singular_tol.
     """
-    if params.r <= DEFAULT_TOL.singular_tol:
+    tol = DEFAULT_TOL
+    if params.r <= tol.singular_tol:
         raise DegenerateParameter(f"r = {params.r} makes the diagonal seed M singular")
     N, R_hat = unitary_bracket_family(params)
     r, g, p = params.r, params.g, params.p
@@ -199,8 +208,14 @@ def bracket_to_family(params: BracketParams) -> BracketReduction:
         float(abs(abs(q0) - 1.0 / ratio)),
         float(abs(abs(p0 * q0) - 1.0)),
     )
-    residual, bound = solution_check(R_conj)
-    family = "F3" if max(defects) <= 1e-9 and residual <= bound else ""
+    size = max(1.0, 1.0 / r)
+    pattern = frobenius(R_conj - bracket_R(1j, M))
+    checks = (
+        ("congruence diagonalizes", float(abs(M[0, 1]) + abs(M[1, 0])), tol.eq_tol),
+        ("anti-diagonal pattern", pattern, tol.residual_tol * size),
+        ("family constraint defect", max(defects), tol.eq_tol * size),
+    )
+    family = "F3" if all(residual <= bound for _, residual, bound in checks) else ""
     return BracketReduction(
         N=N,
         Q=Q,
@@ -211,4 +226,5 @@ def bracket_to_family(params: BracketParams) -> BracketReduction:
         R_conjugated=R_conj,
         family=family,
         constraint_defects=defects,
+        checks=checks,
     )

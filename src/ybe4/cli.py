@@ -24,13 +24,7 @@ import sys
 
 import numpy as np
 
-from .bracket import (
-    BracketParams,
-    SkeinTriple,
-    bracket_R,
-    bracket_to_family,
-    unitary_bracket_family,
-)
+from .bracket import BracketParams, SkeinTriple, bracket_to_family, unitary_bracket_family
 from .classify import classify, is_entangling_gate
 from .core import contraction_residual, solution_check
 from .errors import (
@@ -299,7 +293,7 @@ def _cmd_filter(args) -> tuple[dict, bool]:
     seed = _seed(args)
     table = run_elimination(samples=args.samples, seed=seed, rel_tol=args.rel_tol)
     eliminated = table.pop("eliminated")
-    passing = sorted(name for name, row in table.items() if row["pass_rate"] >= 0.01)
+    passing = sorted(name for name in table if name not in eliminated)
     report = _base_report(
         "filter",
         args,
@@ -319,7 +313,11 @@ def _cmd_bracket(args) -> tuple[dict, bool]:
     for name in ("r", "g", "p"):
         _require_finite(f"--{name}", getattr(args, name))
     params = BracketParams(r=args.r, g=args.g, p=args.p)
-    N, R = unitary_bracket_family(params)
+    if args.emit_family:
+        red = bracket_to_family(params)
+        N, R = red.N, red.R_hat
+    else:
+        N, R = unitary_bracket_family(params)
     triple = SkeinTriple.from_seed(N)
     U, delta = triple.U, triple.delta
     _, r_defect = is_unitary(R, tol)
@@ -337,15 +335,7 @@ def _cmd_bracket(args) -> tuple[dict, bool]:
         "solution": matrix_payload(R, {"name": "bracket_solution"}),
     }
     if args.emit_family:
-        red = bracket_to_family(params)
-        pattern_defect = frobenius(red.R_conjugated - bracket_R(1j, red.M))
-        checks.append(
-            _check("congruence diagonalizes", abs(red.M[0, 1]) + abs(red.M[1, 0]), 1e-10)
-        )
-        checks.append(_check("anti-diagonal pattern", pattern_defect, 1e-9))
-        checks.append(
-            _check("family constraint defect", max(red.constraint_defects), 1e-9)
-        )
+        checks.extend(_check(*check) for check in red.checks)
         payload["family"] = {
             "tag": red.family,
             "Q": matrix_to_rows(red.Q),
@@ -515,3 +505,7 @@ def main(argv=None) -> int:
     sys.stdout.write(dump_report(report))
     _human_summary(report, sys.stderr)
     return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -236,9 +236,8 @@ def _unit(rng: np.random.Generator) -> complex:
 
 
 def _cond2(Q: np.ndarray) -> float:
+    """2-norm condition number; callers test |det Q| first, so s[-1] > 0."""
     s = np.linalg.svd(Q, compute_uv=False)
-    if s[-1] <= 0:
-        return np.inf
     return float(s[0] / s[-1])
 
 
@@ -254,15 +253,22 @@ def _sample_q_gram_diagonal(rng: np.random.Generator) -> np.ndarray:
             return Q
 
 
-def _sample_q_free(rng: np.random.Generator) -> np.ndarray:
-    """Random invertible Q with clearly nonzero Gram off-diagonal."""
+def _sample_q_invertible(rng: np.random.Generator) -> np.ndarray:
+    """Random Q with |det Q| > 1e-2 and condition number below 20."""
     while True:
         Q = np.array(
             [[_crand(rng), _crand(rng)], [_crand(rng), _crand(rng)]], dtype=complex
         )
-        g = gram(Q)
         det = Q[0, 0] * Q[1, 1] - Q[0, 1] * Q[1, 0]
-        if abs(det) > 1e-2 and _cond2(Q) < 20 and abs(g.z) > 0.05:
+        if abs(det) > 1e-2 and _cond2(Q) < 20:
+            return Q
+
+
+def _sample_q_free(rng: np.random.Generator) -> np.ndarray:
+    """Random invertible Q with clearly nonzero Gram off-diagonal."""
+    while True:
+        Q = _sample_q_invertible(rng)
+        if abs(gram(Q).z) > 0.05:
             return Q
 
 
@@ -296,14 +302,7 @@ def random_family_spec(family: str, rng: np.random.Generator) -> FamilySpec:
     if family == "F4":
         return FamilySpec("F4", _sample_q_equal_corners(rng), k)
     if family == "F5":
-        while True:
-            Q = np.array(
-                [[_crand(rng), _crand(rng)], [_crand(rng), _crand(rng)]],
-                dtype=complex,
-            )
-            det = Q[0, 0] * Q[1, 1] - Q[0, 1] * Q[1, 0]
-            if abs(det) > 1e-2 and _cond2(Q) < 20:
-                return FamilySpec("F5", Q, k)
+        return FamilySpec("F5", _sample_q_invertible(rng), k)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -517,8 +516,6 @@ def run_elimination(
             "redraws": redraws,
         }
     report["eliminated"] = [
-        name
-        for name in sorted(report)
-        if isinstance(report[name], dict) and report[name]["pass_rate"] < 0.01
+        name for name in sorted(report) if report[name]["pass_rate"] < 0.01
     ]
     return report

@@ -146,10 +146,6 @@ def test_params_validation():
         BracketParams(r=1.2)
     with pytest.raises(ConstraintViolation):
         BracketParams(r=-0.1)
-    with pytest.raises(ConstraintViolation):
-        BracketParams(r=0.5, alpha=2.0)
-    with pytest.raises(ConstraintViolation):
-        unitary_bracket_family(BracketParams(r=0.5, alpha=np.exp(1j * np.pi / 4)))
 
 
 def random_inverse_conjugate(rng, n):
@@ -224,6 +220,40 @@ def test_congruence_compatibility_identity():
         Qi = inverse(Q)
         rhs = odot(Q @ N @ Q.T, Qi.T @ K @ Qi)
         assert frobenius(lhs - rhs) <= 1e-9 * max(1.0, frobenius(lhs))
+
+
+def test_anti_diagonal_pattern_solves_for_any_parameters():
+    # why the reduction needs no equation check of its own on R_conj
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        p0, q0 = crand(rng, 2) * 10.0 ** rng.uniform(-6, 6, 2)
+        R = np.diag([0, 1j, 1j, 0])
+        R[0, 3], R[3, 0] = 1j * p0, 1j * q0
+        assert braided_residual(R) <= 1e-15 * max(1.0, abs(p0), abs(q0)) ** 3
+
+
+REDUCTION_CHECKS = (
+    "congruence diagonalizes",
+    "anti-diagonal pattern",
+    "family constraint defect",
+)
+
+
+@pytest.mark.parametrize("r", [1.01e-6, 3e-6, 1e-5, 1e-4, 1e-3, 0.1, 0.5, 1.0])
+def test_reduction_checks_decide_the_tag(r):
+    rng = np.random.default_rng(35)
+    size = max(1.0, 1.0 / r)
+    for _ in range(25):
+        params = BracketParams(
+            r=r, g=float(rng.uniform(0, 2 * np.pi)), p=float(rng.uniform(0, 2 * np.pi))
+        )
+        red = bracket_to_family(params)
+        assert tuple(name for name, _, _ in red.checks) == REDUCTION_CHECKS
+        passed = [residual <= bound for _, residual, bound in red.checks]
+        assert (red.family == "F3") == all(passed)
+        assert red.family == "F3", red.checks
+        for _, _, bound in red.checks:
+            assert bound <= 1e-9 * size * (1 + 1e-12)
 
 
 def test_reduction_degenerate_radius():

@@ -291,6 +291,18 @@ def test_bracket_emit_family(capsys):
     assert max(family["constraint_defects"]) <= 1e-9
 
 
+def test_bracket_emit_family_near_singular_radius(capsys):
+    # the pattern residual here (~1e-9) sits above a fixed 1e-9 bound but far
+    # below its scale-aware bound 1e-9 / r; tag and verdict must agree
+    code, report, _ = run(
+        capsys, "bracket", "--r", "1.01e-6", "--g", "5.077165", "--p", "4.189581",
+        "--emit-family",
+    )
+    assert code == 0
+    assert report["verdict"] == "pass"
+    assert report["family"]["tag"] == "F3"
+
+
 def test_bracket_degenerate_radius(capsys):
     code, report, _ = run(capsys, "bracket", "--r", "0", "--emit-family")
     assert code == 6
@@ -364,3 +376,18 @@ def test_cli_import_does_not_load_scipy():
         timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_module_entry_point_runs_main(tmp_path):
+    src = str(Path(ybe4.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "ybe4.cli", "verify", str(tmp_path / "missing.json")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert out.returncode == 2
+    assert json.loads(out.stdout)["error"]["type"] == "ParseError"
