@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstraintViolation, DegenerateParameter, PreconditionFailed
-from .linalg import DEFAULT_TOL, frobenius, inverse, kron
+from .linalg import DEFAULT_TOL, Tolerance, frobenius, inverse, kron
 
 __all__ = [
     "BracketParams",
@@ -173,7 +173,9 @@ class BracketReduction:
     checks: tuple[tuple[str, float, float], ...]
 
 
-def bracket_to_family(params: BracketParams) -> BracketReduction:
+def bracket_to_family(
+    params: BracketParams, tol: Tolerance = DEFAULT_TOL
+) -> BracketReduction:
     """Diagonalize the seed by congruence and read off the family data.
 
     Q = [[1, 0], [z, sqrt(r)]] with z = -i sqrt(1-r^2) e^{i(p/2-g)} / sqrt(r)
@@ -183,14 +185,13 @@ def bracket_to_family(params: BracketParams) -> BracketReduction:
     anti-diagonal family.  That pattern solves the braided equation for any
     parameters, so the F3 tag needs only the three ``checks``: M is
     diagonal, R_conj is the pattern, and the moduli meet the constraints.
-    Each bound is a DEFAULT_TOL field times the closed-form size of the
+    Each bound is a ``tol`` field times the closed-form size of the
     entries compared, taken from r rather than from the computed matrices
     so a wrong R_conj cannot widen its own bound: eq_tol for M (moduli r
     and 1), residual_tol and eq_tol times max(1, 1/r) for R_conj (|q0| = 1/r).
     The scale of Q is a free choice, fixed to 1 here; Q^-1 is taken in
     closed form.  |M00| = r |M11|, so M is singular for r <= singular_tol.
     """
-    tol = DEFAULT_TOL
     if params.r <= tol.singular_tol:
         raise DegenerateParameter(f"r = {params.r} makes the diagonal seed M singular")
     N, R_hat = unitary_bracket_family(params)

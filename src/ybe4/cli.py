@@ -314,7 +314,7 @@ def _cmd_bracket(args) -> tuple[dict, bool]:
         _require_finite(f"--{name}", getattr(args, name))
     params = BracketParams(r=args.r, g=args.g, p=args.p)
     if args.emit_family:
-        red = bracket_to_family(params)
+        red = bracket_to_family(params, tol)
         N, R = red.N, red.R_hat
     else:
         N, R = unitary_bracket_family(params)

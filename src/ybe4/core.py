@@ -19,6 +19,13 @@ use it; contraction_residual is an independent cross-check of the residual.
 
 Matrix convention: entry R[d*a+b, d*i+j] is the coefficient of basis vector
 e_a (x) e_b in the image of e_i (x) e_j, i.e. upper indices label rows.
+
+Operators on tensor powers are built on their tensor axes instead of by
+dense products: R13 is R12 with the second and third tensor slots
+permuted, and braid_rep applies each letter to the two strand axes it acts
+on, letters * d^(2n+2) multiply-adds for a word on n strands instead of
+letters * d^(3n).  The image still has d^(2n) entries, so braid_rep keeps
+its cap of 6 strands by default.
 """
 
 from __future__ import annotations
@@ -73,11 +80,10 @@ def braided_residual(R: np.ndarray) -> float:
 
 def _algebraic_embeddings(R: np.ndarray, d: int):
     eye = np.eye(d, dtype=complex)
-    P = swap_matrix(d)
     R12 = kron(R, eye)
     R23 = kron(eye, R)
-    mid = kron(eye, P)
-    R13 = mid @ R12 @ mid
+    # R13 = (I (x) P) R12 (I (x) P): swap tensor slots 2 and 3 on both sides
+    R13 = R12.reshape((d,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(d ** 3, d ** 3)
     return R12, R13, R23
 
 
@@ -198,8 +204,12 @@ class BraidWord:
 def braid_rep(R: np.ndarray, word: BraidWord, max_strands: int = 6) -> np.ndarray:
     """Image of a braid word when generator i maps to I^(i-1) (x) R (x) I^(n-1-i).
 
-    The matrix acts on (C^d)^(x)n which grows as d^n, so n is capped at
-    ``max_strands``.  Inverse letters require R to be invertible.
+    The image is kept as a tensor with one row axis of size d^n and one
+    column axis per strand; each letter contracts the two strand axes it
+    acts on with R (or R^-1) as a (d, d, d, d) tensor, d^(2n+2)
+    multiply-adds, and no d^n x d^n generator is built.  The result still
+    has d^n x d^n entries, so n is capped at ``max_strands``.  Inverse
+    letters require R to be invertible.
     """
     R = as_square(R)
     d = _split_dim(R)
@@ -209,7 +219,7 @@ def braid_rep(R: np.ndarray, word: BraidWord, max_strands: int = 6) -> np.ndarra
             f"{n} strands needs a {d ** n} dimensional space (cap: {max_strands} strands)"
         )
     dim = d ** n
-    out = np.eye(dim, dtype=complex)
+    out = np.eye(dim, dtype=complex).reshape((dim,) + (d,) * n)
     Rinv: np.ndarray | None = None
     for idx, exp in word.letters:
         if exp == 1:
@@ -225,9 +235,7 @@ def braid_rep(R: np.ndarray, word: BraidWord, max_strands: int = 6) -> np.ndarra
                         bound=err.bound,
                     ) from err
             block = Rinv
-        gen = kron(
-            np.eye(d ** (idx - 1), dtype=complex),
-            kron(block, np.eye(d ** (n - 1 - idx), dtype=complex)),
-        )
-        out = out @ gen
-    return out
+        # column axes idx, idx+1 hold strands idx, idx+1 (1-based)
+        out = np.tensordot(out, block.reshape(d, d, d, d), axes=((idx, idx + 1), (0, 1)))
+        out = np.moveaxis(out, (-2, -1), (idx, idx + 1))
+    return out.reshape(dim, dim)

@@ -155,13 +155,20 @@ def validate_spec(spec: FamilySpec, tol: Tolerance = DEFAULT_TOL) -> list[str]:
     trace, the corners to max|Q|), so Q and c*Q get the same verdict, as
     they give the same member.
     """
+    return _check_spec(spec, tol)[0]
+
+
+def _check_spec(
+    spec: FamilySpec, tol: Tolerance
+) -> tuple[list[str], np.ndarray | None]:
+    """(validate_spec's violations, Q^-1), with Q^-1 None when Q is singular."""
     out: list[str] = []
     Q = spec.Q
     try:
-        inverse(Q, tol)
+        Qinv = inverse(Q, tol)
     except SingularMatrix:
         out.append("Q is singular")
-        return out
+        return out, None
     if abs(abs(spec.k) - 1.0) > tol.eq_tol:
         out.append(f"|k| = {abs(spec.k):.6g} is not 1")
     g = gram(Q)
@@ -203,7 +210,7 @@ def validate_spec(spec: FamilySpec, tol: Tolerance = DEFAULT_TOL) -> list[str]:
             out.append(
                 f"F4 needs |a| = |d|, got {abs(Q[0, 0]):.6g} vs {abs(Q[1, 1]):.6g}"
             )
-    return out
+    return out, Qinv
 
 
 def family_member(
@@ -216,11 +223,10 @@ def family_member(
     """
     if form not in ("braided", "algebraic"):
         raise ValueError(f"unknown form {form!r}")
-    violations = validate_spec(spec, tol)
+    violations, Qinv = _check_spec(spec, tol)
     if violations:
         raise ConstraintViolation(violations)
     R = family_representative(spec)
-    Qinv = inverse(spec.Q, tol)
     M = spec.k * kron(spec.Q, spec.Q) @ R @ kron(Qinv, Qinv)
     if form == "braided":
         M = M @ swap_matrix(2)

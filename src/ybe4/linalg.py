@@ -100,9 +100,16 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Kronecker product A (x) B with the row-major block convention.
 
     Entry ((i,k),(j,l)) equals A[i,j] * B[k,l], rows and columns indexed
-    by the composite index i*dim(B)+k.
+    by the composite index i*dim(B)+k.  Two matrices are multiplied as one
+    broadcast outer product, so each entry is that single product, bitwise
+    as from np.kron; other operand shapes go to np.kron itself.
     """
-    return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
+    A = np.asarray(A, dtype=complex)
+    B = np.asarray(B, dtype=complex)
+    if A.ndim != 2 or B.ndim != 2:
+        return np.kron(A, B)
+    (m, n), (p, q) = A.shape, B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(m * p, n * q)
 
 
 def dagger(A: np.ndarray) -> np.ndarray:

@@ -291,6 +291,22 @@ def test_bracket_emit_family(capsys):
     assert max(family["constraint_defects"]) <= 1e-9
 
 
+def test_bracket_emit_family_honours_tolerances(capsys):
+    argv = ["bracket", "--r", "0.5", "--emit-family"]
+    bounds = {}
+    for extra in ([], ["--eq-tol", "1e-3", "--res-tol", "1e-3"]):
+        code, report, _ = run(capsys, *argv, *extra)
+        assert code == 0 and report["family"]["tag"] == "F3"
+        reduction = report["checks"][-3:]
+        assert [check["name"] for check in reduction] == [
+            "congruence diagonalizes", "anti-diagonal pattern", "family constraint defect"
+        ]
+        bounds[len(extra)] = [check["bound"] for check in reduction]
+    # eq_tol for M, then residual_tol and eq_tol times max(1, 1/r) = 2
+    assert bounds[0] == [1e-9, 2e-9, 2e-9]
+    assert bounds[4] == [1e-3, 2e-3, 2e-3]
+
+
 def test_bracket_emit_family_near_singular_radius(capsys):
     # the pattern residual here (~1e-9) sits above a fixed 1e-9 bound but far
     # below its scale-aware bound 1e-9 / r; tag and verdict must agree

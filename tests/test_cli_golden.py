@@ -12,7 +12,10 @@ within 1e-12 * max(1, |x|), so the pin survives a BLAS build that rounds
 the last bits differently while still catching any change of result.
 
 Regenerate the pins with ``PYTHONPATH=src python tests/test_cli_golden.py``
-only when a change of result is intended.
+only when a change of result is intended.  Regeneration keeps every pinned
+float that the new run still matches within that tolerance, so it writes
+only values that changed beyond it, and new keys; with unchanged code the
+file stays byte-identical on any BLAS build.
 """
 
 from __future__ import annotations
@@ -75,13 +78,15 @@ def _write_members(golden: dict, directory: Path) -> None:
             )
 
 
+def _float_agrees(got: float, want: float) -> bool:
+    return abs(got - want) <= FLOAT_RTOL * max(1.0, abs(want))
+
+
 def assert_matches(got, want, where: str = "report") -> None:
     """Equal apart from floats, which agree within FLOAT_RTOL * max(1, |x|)."""
     if isinstance(want, float):
         assert isinstance(got, float), f"{where}: {got!r} is not a float"
-        assert abs(got - want) <= FLOAT_RTOL * max(1.0, abs(want)), (
-            f"{where}: {got!r} != {want!r}"
-        )
+        assert _float_agrees(got, want), f"{where}: {got!r} != {want!r}"
     elif isinstance(want, dict):
         assert isinstance(got, dict), f"{where}: {got!r} is not an object"
         assert sorted(got) == sorted(want), f"{where}: keys differ"
@@ -134,20 +139,51 @@ def test_assert_matches_rejects(got, want):
         assert_matches(got, want)
 
 
+def test_keep_pinned_keeps_only_floats_within_tolerance():
+    pinned = {"a": [1.0, 2.0, "x"], "b": 3.0, "c": {"d": 4.0}, "e": [5.0]}
+    got = {
+        "a": [1.0 + 1e-13, 2.5, "y"], "b": 3, "c": {"d": 4.0 - 1e-12}, "e": [5.0, 6.0],
+        "new": 7.0,
+    }
+    merged = keep_pinned(got, pinned)
+    assert merged == {
+        "a": [1.0, 2.5, "y"], "b": 3, "c": {"d": 4.0}, "e": [5.0, 6.0], "new": 7.0
+    }
+    assert type(merged["b"]) is int
+
+
+def keep_pinned(got, pinned):
+    """``got`` with each float that agrees with its pin replaced by the pin."""
+    if isinstance(got, float) and isinstance(pinned, float):
+        return pinned if _float_agrees(got, pinned) else got
+    if isinstance(got, dict) and isinstance(pinned, dict):
+        return {
+            key: keep_pinned(value, pinned[key]) if key in pinned else value
+            for key, value in got.items()
+        }
+    if isinstance(got, list) and isinstance(pinned, list) and len(got) == len(pinned):
+        return [keep_pinned(g, p) for g, p in zip(got, pinned)]
+    return got
+
+
 def _regenerate() -> None:
     os.environ.pop("YBE4_SEED", None)
     cases = _cases()
+    pinned = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             golden = {
-                name: _run(argv) for name, argv in cases.items() if argv[0] == "generate"
+                name: keep_pinned(_run(argv), pinned.get(name))
+                for name, argv in cases.items()
+                if argv[0] == "generate"
             }
+            # the member files hold the matrices the written pins carry
             _write_members(golden, Path(tmp))
             for name, argv in cases.items():
                 if name not in golden:
-                    golden[name] = _run(argv)
+                    golden[name] = keep_pinned(_run(argv), pinned.get(name))
         finally:
             os.chdir(cwd)
     GOLDEN.write_text(dump_report(golden))

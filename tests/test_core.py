@@ -19,6 +19,8 @@ from ybe4.core import (
     swap_matrix,
 )
 from ybe4.errors import DimensionError, SingularMatrix, SizeExceeded
+from ybe4.families import FAMILY_NAMES, family_member, random_family_spec
+from ybe4.linalg import frobenius, inverse
 
 SWAP = swap_matrix(2)
 HADA = np.array(
@@ -196,3 +198,104 @@ def test_far_generators_commute():
     lhs = braid_rep(R, BraidWord(4, ((1, 1), (3, 1))))
     rhs = braid_rep(R, BraidWord(4, ((3, 1), (1, 1))))
     assert np.linalg.norm(lhs - rhs) < 1e-13
+
+
+def dense_braid_rep(R, word):
+    """The dense route: multiply in I^(i-1) (x) R^(+-1) (x) I^(n-1-i) per letter."""
+    d = round(R.shape[0] ** 0.5)
+    n = word.n_strands
+    out = np.eye(d ** n, dtype=complex)
+    for k, (idx, exp) in enumerate(word.letters):
+        block = R if exp == 1 else inverse(R)
+        gen = np.kron(np.eye(d ** (idx - 1)), np.kron(block, np.eye(d ** (n - 1 - idx))))
+        out = gen if k == 0 else out @ gen
+    return out
+
+
+def random_word(rng, n, length, signs=(1, -1)):
+    letters = tuple(
+        (int(rng.integers(1, n)), int(rng.choice(signs))) for _ in range(length)
+    )
+    return BraidWord(n, letters)
+
+
+def random_unitary(rng, n):
+    Q, _ = np.linalg.qr(crand(rng, (n, n)))
+    return Q
+
+
+def braid_operators():
+    """(R, exponents) pairs: family members, a 9x9 unitary and non-unitary R."""
+    rng = np.random.default_rng(23)
+    ops = []
+    for family in FAMILY_NAMES:
+        for form in ("braided", "algebraic"):
+            ops.append((family_member(random_family_spec(family, rng), form), (1, -1)))
+    ops.append((random_unitary(rng, 9), (1, -1)))
+    # a non-unitary R, scaled so the bound's max|R| factor matters
+    ops.append((3.0 * crand(rng, (4, 4)), (1,)))
+    ops.append((2.0 * crand(rng, (9, 9)), (1,)))
+    return ops
+
+
+@pytest.mark.parametrize("case", range(len(braid_operators())))
+def test_braid_rep_matches_dense_route(case):
+    R, signs = braid_operators()[case]
+    d = round(R.shape[0] ** 0.5)
+    rng = np.random.default_rng(100 + case)
+    for n in range(2, 7):
+        # a dense 3^6 = 729 dimensional product would take seconds per letter
+        for length in (1, 2, 5) if d ** n <= 243 else (1,):
+            word = random_word(rng, n, length, signs)
+            got = braid_rep(R, word)
+            want = dense_braid_rep(R, word)
+            bound = 1e-14 * max(1.0, np.abs(R).max()) ** length
+            assert np.abs(got - want).max() <= bound, (n, word.letters)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_braid_rep_empty_word_is_exact_identity(d):
+    R = crand(np.random.default_rng(d), (d * d, d * d))
+    for n in range(2, 7):
+        got = braid_rep(R, BraidWord(n))
+        assert got.dtype == complex
+        assert np.array_equal(got, np.eye(d ** n))
+
+
+def test_braid_rep_singular_inverse_letter_dim3():
+    R = np.eye(9, dtype=complex)
+    R[8, 8] = 1e-9
+    word = BraidWord(4, ((2, 1), (3, -1)))
+    with pytest.raises(SingularMatrix) as info:
+        braid_rep(R, word)
+    assert info.value.value == pytest.approx(1e-9)
+    assert info.value.bound == pytest.approx(1e-6)
+    # the positive letters alone need no inverse
+    assert braid_rep(R, BraidWord(4, ((2, 1), (3, 1)))).shape == (81, 81)
+
+
+def embedding_algebraic_residual(R):
+    """algebraic_residual with R13 built as (I (x) P) R12 (I (x) P)."""
+    d = round(R.shape[0] ** 0.5)
+    eye = np.eye(d, dtype=complex)
+    mid = np.kron(eye, swap_matrix(d))
+    R12 = np.kron(R, eye)
+    R23 = np.kron(eye, R)
+    R13 = mid @ R12 @ mid
+    return frobenius(R12 @ R13 @ R23 - R23 @ R13 @ R12)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_algebraic_residual_bitwise_equals_swap_embedding(family):
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        for form in ("algebraic", "braided"):
+            M = family_member(random_family_spec(family, rng), form)
+            for R in (M, M + 1e-3 * crand(rng, (4, 4))):
+                assert algebraic_residual(R) == embedding_algebraic_residual(R)
+
+
+def test_algebraic_residual_bitwise_equals_swap_embedding_dim3():
+    rng = np.random.default_rng(37)
+    for R in (swap_matrix(3), random_unitary(rng, 9), crand(rng, (9, 9))):
+        assert algebraic_residual(R) == embedding_algebraic_residual(R)

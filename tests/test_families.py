@@ -201,6 +201,31 @@ def test_validation_of_tiny_q():
     assert validate_spec(FamilySpec("F3", 1e-7 * spec.Q, spec.k, spec.params)) == []
 
 
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_family_member_inverts_q_once(family, monkeypatch):
+    rng = np.random.default_rng(41)
+    calls = []
+
+    def counting_inverse(A, *args):
+        calls.append(A)
+        return inverse(A, *args)
+
+    monkeypatch.setattr(families, "inverse", counting_inverse)
+    for _ in range(10):
+        spec = random_family_spec(family, rng)
+        calls.clear()
+        for form in ("braided", "algebraic"):
+            M = family_member(spec, form)
+            # the member formula with Q inverted on its own
+            Qinv = np.linalg.inv(spec.Q)
+            want = spec.k * np.kron(spec.Q, spec.Q) @ family_representative(spec)
+            want = want @ np.kron(Qinv, Qinv)
+            if form == "braided":
+                want = want @ SWAP
+            assert np.array_equal(M, want)
+        assert len(calls) == 2
+
+
 def test_member_form_flag():
     spec = FamilySpec("F5", np.eye(2))
     assert np.allclose(family_member(spec, form="algebraic"), SWAP)

@@ -56,6 +56,31 @@ def test_kron_block_convention():
                     assert K[2 * i + k, 2 * j + l] == A[i, j] * B[k, l]
 
 
+KRON_SHAPES = [
+    ((1, 1), (2, 3)),
+    ((2, 3), (3, 2)),
+    ((4, 4), (2, 2)),
+    ((3,), (2,)),
+    ((3,), (2, 2)),
+    ((2, 3), (4,)),
+]
+
+
+@pytest.mark.parametrize("a_shape, b_shape", KRON_SHAPES)
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_kron_bitwise_equals_numpy(a_shape, b_shape, dtype):
+    rng = np.random.default_rng(len(a_shape) * 10 + len(b_shape))
+    for _ in range(5):
+        A, B = (rng.normal(size=shape) for shape in (a_shape, b_shape))
+        if dtype is complex:
+            A = A + 1j * rng.normal(size=a_shape)
+            B = B - 1j * rng.normal(size=b_shape)
+        got = kron(A, B)
+        want = np.kron(A.astype(complex), B.astype(complex))
+        assert got.dtype == complex and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_dagger_and_frobenius():
     A = np.array([[1 + 2j, 3], [4j, 5]], dtype=complex)
     assert np.array_equal(dagger(A), A.conj().T)
