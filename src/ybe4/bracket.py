@@ -74,8 +74,14 @@ def loop_value(N: np.ndarray) -> complex:
     return SkeinTriple.from_seed(N).delta
 
 
+def _check_alpha(alpha: complex) -> None:
+    if alpha == 0:
+        raise DegenerateParameter("alpha = 0: the skein relation needs alpha^-1")
+
+
 def skein_delta(alpha: complex) -> complex:
     """The loop value -(alpha^2 + alpha^-2) the skein relation demands."""
+    _check_alpha(alpha)
     return -(alpha**2 + alpha**-2)
 
 
@@ -103,8 +109,9 @@ def bracket_R(alpha: complex, N: np.ndarray) -> np.ndarray:
 
     Solves the braided equation exactly when loop_value(N) equals
     skein_delta(alpha); that consistency is the caller's to check (see
-    SkeinTriple), not enforced here.
+    SkeinTriple), not enforced here.  alpha = 0 raises DegenerateParameter.
     """
+    _check_alpha(alpha)
     U = SkeinTriple.from_seed(N).U
     dim = U.shape[0]
     return alpha * np.eye(dim, dtype=complex) + U / alpha

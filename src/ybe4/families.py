@@ -158,6 +158,11 @@ def validate_spec(spec: FamilySpec, tol: Tolerance = DEFAULT_TOL) -> list[str]:
     return _check_spec(spec, tol)[0]
 
 
+def _misses(value: float, want: float, bound: float) -> bool:
+    """|value - want| > bound, written so that a NaN value misses too."""
+    return not abs(value - want) <= bound
+
+
 def _check_spec(
     spec: FamilySpec, tol: Tolerance
 ) -> tuple[list[str], np.ndarray | None]:
@@ -169,7 +174,7 @@ def _check_spec(
     except SingularMatrix:
         out.append("Q is singular")
         return out, None
-    if abs(abs(spec.k) - 1.0) > tol.eq_tol:
+    if _misses(abs(spec.k), 1.0, tol.eq_tol):
         out.append(f"|k| = {abs(spec.k):.6g} is not 1")
     g = gram(Q)
     scale = g.x + g.y
@@ -180,7 +185,7 @@ def _check_spec(
         for name in ("p", "q", "r"):
             if name not in pa:
                 out.append(f"F1 needs parameter {name}")
-            elif abs(abs(pa[name]) - 1.0) > tol.eq_tol:
+            elif _misses(abs(pa[name]), 1.0, tol.eq_tol):
                 out.append(f"|{name}| = {abs(pa[name]):.6g} is not 1")
         if not z_small:
             out.append(f"F1 needs Gram off-diagonal zero, got |z| = {abs(g.z):.3g}")
@@ -198,7 +203,7 @@ def _check_spec(
             for name, want in (("p", want_p), ("q", 1.0 / want_p)):
                 if name not in pa:
                     out.append(f"F3 needs parameter {name}")
-                elif abs(abs(pa[name]) - want) > tol.eq_tol * max(1.0, want):
+                elif _misses(abs(pa[name]), want, tol.eq_tol * max(1.0, want)):
                     out.append(
                         f"|{name}| = {abs(pa[name]):.6g} differs from forced modulus "
                         f"{want:.6g}"
@@ -206,7 +211,7 @@ def _check_spec(
     elif fam == "F4":
         if not z_small:
             out.append(f"F4 needs Gram off-diagonal zero, got |z| = {abs(g.z):.3g}")
-        if abs(abs(Q[0, 0]) - abs(Q[1, 1])) > tol.eq_tol * qmax:
+        if _misses(abs(Q[0, 0]), abs(Q[1, 1]), tol.eq_tol * qmax):
             out.append(
                 f"F4 needs |a| = |d|, got {abs(Q[0, 0]):.6g} vs {abs(Q[1, 1]):.6g}"
             )

@@ -52,7 +52,8 @@ class Tolerance:
     eq_tol        entrywise equality comparisons
     residual_tol  Frobenius-norm residual checks (unitarity, YBE)
     singular_tol  relative threshold for a vanishing quantity; a matrix is
-                  singular when sigma_min <= singular_tol * sigma_max
+                  singular when sigma_min <= singular_tol * sigma_max, and
+                  a gate entangles when its magic-basis radius exceeds it
     """
 
     eq_tol: float = 1e-9

@@ -78,6 +78,14 @@ def test_loop_value_examples():
     assert loop_value(np.array([[1, 2], [3, 4]], dtype=float)) == pytest.approx(2.5)
 
 
+@pytest.mark.parametrize("alpha", [0, 0.0, 0j, -0.0])
+def test_alpha_zero_is_degenerate(alpha):
+    with pytest.raises(DegenerateParameter):
+        skein_delta(alpha)
+    with pytest.raises(DegenerateParameter):
+        bracket_R(alpha, np.eye(2))
+
+
 def test_skein_delta_values():
     assert skein_delta(1j) == pytest.approx(2.0)
     assert skein_delta(np.exp(1j * np.pi / 4)) == pytest.approx(0.0, abs=1e-15)

@@ -14,9 +14,9 @@ from ybe4.classify import (
     realign,
 )
 from ybe4.core import braided_residual, swap_matrix
-from ybe4.errors import DimensionError, NotASolution, NotUnitary
+from ybe4.errors import DimensionError, NonFiniteValue, NotASolution, NotUnitary
 from ybe4.families import FamilySpec, family_member, random_family_spec
-from ybe4.linalg import frobenius, kron
+from ybe4.linalg import DEFAULT_TOL, Tolerance, frobenius, kron
 
 SWAP = swap_matrix(2)
 HADA_SWAP = (
@@ -32,18 +32,6 @@ def random_unitary_2(rng):
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
-def test_rank_one_test_resolves_below_sqrt_eps():
-    # singular values taken from the eigenvalues of M^dagger M would blur
-    # every ratio below ~1e-8, so this 1e-10 ratio would read as ~6e-9
-    from ybe4.classify import _is_rank_one
-
-    rng = np.random.default_rng(11)
-    U = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
-    V = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
-    assert _is_rank_one(U @ np.diag([1.0, 1e-10, 0.0, 0.0]) @ V, ratio=1e-9)
-    assert not _is_rank_one(U @ np.diag([1.0, 1e-8, 0.0, 0.0]) @ V, ratio=1e-9)
-
-
 def test_state_normalization_and_determinant():
     s = TwoQubitState([2, 0, 0, 0])
     assert np.linalg.norm(s.vec) == pytest.approx(1)
@@ -52,10 +40,38 @@ def test_state_normalization_and_determinant():
 
 
 def test_state_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError):
         TwoQubitState([1, 0, 0])
     with pytest.raises(ValueError):
         TwoQubitState([0, 0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "bad", [[np.nan, 0, 0, 1], [np.inf, 0, 0, 0], [1, 1j * np.inf, 0, 0]]
+)
+def test_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(NonFiniteValue):
+        TwoQubitState(bad)
+    with pytest.raises(NonFiniteValue):
+        is_product_state(bad)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 3e-162, 1e-170, 1e-20, 1e20, 1e200, 1e300])
+def test_state_is_scale_free(scale):
+    # a norm taken before rescaling overflows beyond ~1e154 and loses digits or
+    # underflows below ~1e-154; the state and its verdict must not move
+    product = np.kron([0.6, 0.8j], [1 - 2j, 0.5])
+    for vec, entangled in ((BELL, True), (product, False)):
+        want = TwoQubitState(vec)
+        got = TwoQubitState(scale * vec)
+        assert np.abs(got.vec - want.vec).max() <= 1e-15
+        assert abs(got.pair_determinant - want.pair_determinant) <= 1e-15
+        assert is_product_state(scale * vec) is not entangled
+
+
+def test_subnormal_state_normalizes():
+    for tiny in (1e-310, 5e-324):
+        assert np.abs(TwoQubitState(tiny * BELL).vec - BELL).max() <= 1e-15
 
 
 def test_product_state_detection():
@@ -414,3 +430,80 @@ def test_closed_form_witness_never_below_reference_search(source):
         rebuilt = np.kron(_bloch(*w.angles[:2]), _bloch(*w.angles[2:]))
         phase = np.vdot(rebuilt, w.state.vec)
         assert np.linalg.norm(rebuilt * phase / abs(phase) - w.state.vec) <= 1e-12
+
+
+def _is_rank_one(M, ratio=1e-6):
+    s = np.linalg.svd(M, compute_uv=False)
+    return s[0] > 0 and s[1] <= ratio * s[0]
+
+
+def realignment_verdict(G):
+    """Reference: the realignment test the magic-basis verdict replaced.
+
+    A gate preserves products exactly when it is A (x) B or (A (x) B) SWAP,
+    and both have a rank-1 realignment.
+    """
+    return not (_is_rank_one(realign(G)) or _is_rank_one(realign(G @ SWAP)))
+
+
+def near_local_gate(rng, eps):
+    """(A (x) B) exp(i eps H) (C (x) D) with H = a XX + b YY + c ZZ, |(a, b, c)| = 1.
+
+    H has no local part, so rho / eps lies in [2, 2 sqrt 2] for small eps.
+    """
+    coeffs = rng.normal(size=3)
+    core = cartan_gate(*(eps * coeffs / np.linalg.norm(coeffs)))
+    outer = [kron(random_unitary_2(rng), random_unitary_2(rng)) for _ in range(2)]
+    return outer[0] @ core @ outer[1]
+
+
+def verdict_sweep_gates():
+    rng = np.random.default_rng(515)
+    gates = [random_unitary_4(rng) for _ in range(150)]
+    for family in ("F1", "F2", "F3", "F4", "F5"):
+        gates += [family_member(random_family_spec(family, rng)) for _ in range(60)]
+    for _ in range(60):
+        local = kron(random_unitary_2(rng), random_unitary_2(rng))
+        gates += [local, local @ SWAP]
+    for eps in (1e-3, 1e-5, 1e-7, 1e-9):
+        gates += [near_local_gate(rng, eps) for _ in range(60)]
+    return gates
+
+
+def test_radius_verdict_matches_realignment_reference():
+    disagree = 0
+    for G in verdict_sweep_gates():
+        report = is_entangling_gate(G)
+        disagree += report.entangling != realignment_verdict(G)
+        if report.entangling:
+            # the number behind the verdict is the one the witness attains
+            bound = DEFAULT_TOL.singular_tol
+            assert 2 * report.witness.output_pair_determinant > bound
+    assert disagree == 0
+
+
+def test_radius_resolves_below_sqrt_eps():
+    # at eps = 1e-9 the radius is ~2e-9, far below the ~1.5e-8 square root of
+    # machine epsilon, and the witness attains it once the bound drops below
+    rng = np.random.default_rng(11)
+    eps = 1e-9
+    fine = Tolerance(singular_tol=1e-12)
+    for _ in range(20):
+        G = near_local_gate(rng, eps)
+        assert not is_entangling_gate(G).entangling
+        rho = 2 * is_entangling_gate(G, tol=fine).witness.output_pair_determinant
+        assert 0.5 * eps <= rho <= 10 * eps
+
+
+def test_radius_is_invariant_under_local_gates_and_swap():
+    rng = np.random.default_rng(16)
+    gates = haar_gates(20) + entangling_members(20)
+    for G in gates:
+        rho = 2 * is_entangling_gate(G).witness.output_pair_determinant
+        left, right = (
+            kron(random_unitary_2(rng), random_unitary_2(rng)) for _ in range(2)
+        )
+        for moved in (left @ G @ right, G @ SWAP):
+            report = is_entangling_gate(moved)
+            assert report.entangling
+            assert abs(2 * report.witness.output_pair_determinant - rho) <= 1e-12

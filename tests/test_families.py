@@ -159,6 +159,32 @@ def test_validation_catches_broken_specs():
         family_member(FamilySpec("F5", np.eye(2), k=2.0))
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        FamilySpec("F5", np.eye(2), NAN),
+        FamilySpec("F5", np.eye(2), complex(1, NAN)),
+        FamilySpec("F4", np.eye(2), complex(1, NAN)),
+        FamilySpec("F1", np.eye(2), params={"p": NAN, "q": 1, "r": 1}),
+        FamilySpec("F1", np.eye(2), params={"p": 1, "q": 1, "r": complex(NAN, 1)}),
+        FamilySpec("F1", np.eye(2), params={"p": np.inf, "q": 1, "r": 1}),
+        FamilySpec("F3", np.diag([1.0, 2.0]), params={"p": NAN, "q": 0.25}),
+        FamilySpec("F3", np.diag([1.0, 2.0]), params={"p": 4, "q": np.inf}),
+        FamilySpec("F2", np.array([[1, 0.5], [0, 1]]), k=np.inf),
+    ],
+    ids=lambda spec: spec.family,
+)
+def test_validation_rejects_non_finite_k_and_params(spec):
+    # |x - 1| > tol is False for NaN, so a comparison written that way
+    # would pass NaN and build an all-NaN member
+    assert validate_spec(spec)
+    with pytest.raises(ConstraintViolation):
+        family_member(spec)
+
+
 # an anti-diagonal F4 Q: corners tiny and equal within eq_tol * max|Q|
 ANTI_F4 = np.array([[1e-12, 1], [1, 0]], dtype=complex)
 
