@@ -7,7 +7,9 @@ questions about such a gate are answered here:
   spectrum decides and witnesses it: the gate entangles when the radius rho
   of the smallest circle around the eigenvalues of S = G_M^T G_M exceeds
   Tolerance.singular_tol, and the witness attains output pair determinant
-  rho / 2.  S is scalar (rho = 0) exactly for A (x) B and (A (x) B) SWAP.
+  rho / 2.  S is scalar (rho = 0) exactly for A (x) B and (A (x) B) SWAP;
+  when ||S - tr(S)/4 I||_F is at most half that bound, which caps rho, the
+  gate is declared local without computing the spectrum.
 
 * which of the five families does it belong to, and for which data
   (Q, k, parameters)?  The F5 stage reads k off the trace.  The F1, F4 and
@@ -17,13 +19,15 @@ questions about such a gate are answered here:
   Members of F2 always carry a diagonal-family certificate and are tagged
   F1.  Every accepted answer carries a reconstruction whose distance to
   the input is at most 1e-6, so the result is a checkable certificate, not
-  a heuristic label.
+  a heuristic label.  A certificate whose rebuild is bound to miss, by the
+  entry-modulus floor that classify describes, is not rebuilt.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -31,18 +35,20 @@ from .core import solution_check, swap_matrix
 from .errors import (
     ConstraintViolation,
     DimensionError,
+    EntangledState,
     NonFiniteValue,
     NotASolution,
     NotUnitary,
+    ZeroState,
 )
 from .families import FamilySpec, family_member
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _is_unitary,
     as_square,
     dagger,
     frobenius,
-    is_unitary,
     kron,
 )
 
@@ -58,6 +64,7 @@ __all__ = [
 ]
 
 _SWAP = swap_matrix(2)
+_EYE4 = np.eye(4)
 _ACCEPT = 1e-6
 
 
@@ -75,7 +82,7 @@ class TwoQubitState:
         if not math.isfinite(top):
             raise NonFiniteValue("state amplitudes must be finite")
         if top == 0:
-            raise ValueError("zero vector is not a state")
+            raise ZeroState("zero vector is not a state")
         # exact power-of-two rescale: largest part in [1, 2), so no over/underflow
         v = np.ldexp(v.view(float), 1 - math.frexp(top)[1]).view(complex)
         object.__setattr__(self, "vec", v / np.linalg.norm(v))
@@ -92,13 +99,13 @@ class TwoQubitState:
     def factors(self, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
         """Local factors u, v with u (x) v equal to the state (products only)."""
         if not self.is_product(tol):
-            raise ValueError("state is entangled, no product factorization")
+            raise EntangledState("state is entangled, no product factorization")
         W = self.vec.reshape(2, 2)
         u = W[:, int(np.argmax(np.linalg.norm(W, axis=0)))]
         v = W[int(np.argmax(np.linalg.norm(W, axis=1))), :]
         u = u / np.linalg.norm(u)
         v = v / np.linalg.norm(v)
-        v = v * np.vdot(np.kron(u, v), self.vec)
+        v = v * np.vdot(np.outer(u, v).reshape(-1), self.vec)
         return u, v
 
 
@@ -111,6 +118,11 @@ def realign(G: np.ndarray) -> np.ndarray:
     G = as_square(G)
     if G.shape != (4, 4):
         raise DimensionError("realignment is defined for 4x4 matrices here")
+    return _realign(G)
+
+
+def _realign(G: np.ndarray) -> np.ndarray:
+    """realign for a complex 4x4 array that is already validated."""
     return G.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
 
 
@@ -197,7 +209,7 @@ def _as_gate(G, tol: Tolerance) -> np.ndarray:
     G = as_square(G)
     if G.shape != (4, 4):
         raise DimensionError(f"expected a 4x4 gate, got shape {G.shape}")
-    ok, defect = is_unitary(G, tol)
+    ok, defect = _is_unitary(G, tol)
     if not ok:
         raise NotUnitary(f"input has unitarity defect {defect:.3e}")
     return G
@@ -224,11 +236,17 @@ def is_entangling_gate(
     (Kraus and Cirac, PRA 63, 062309, 2001), and the witness attains it.
     S is scalar, so rho = 0, exactly for local gates and their compositions
     with the swap (Makhlin, Quantum Inf. Process. 1, 243, 2002).  The verdict
-    is rho > tol.singular_tol; rho is scale-free, as G is unitary.
+    is rho > tol.singular_tol; rho is scale-free, as G is unitary.  For the
+    normal S and c = tr(S) / 4, rho <= ||S - c I||_2 <= ||S - c I||_F, so a
+    gate with ||S - c I||_F <= tol.singular_tol / 2 is not entangling and
+    the spectrum is not computed; the half leaves the computed rho room for
+    rounding.
     """
     G = _as_gate(G, tol)
     GM = dagger(_MAGIC) @ G @ _MAGIC
     S = GM.T @ GM
+    if frobenius(S - np.trace(S) / 4 * _EYE4) <= tol.singular_tol / 2:
+        return GateEntanglementReport(entangling=False, witness=None)
     O = _takagi_real(S)
     d = np.diag(O.T @ S @ O)
     w = _witness_weights(d)
@@ -236,7 +254,7 @@ def is_entangling_gate(
     if not (entangling and witness):
         return GateEntanglementReport(entangling=entangling, witness=None)
     u, v = TwoQubitState(_MAGIC @ (O @ np.sqrt(w))).factors()
-    state = TwoQubitState(np.kron(u, v))
+    state = TwoQubitState(np.outer(u, v).reshape(-1))
     out = G @ state.vec
     det = float(abs(out[0] * out[3] - out[1] * out[2]))
     found = ProductWitness(_qubit_angles(u) + _qubit_angles(v), state, det)
@@ -253,9 +271,34 @@ class ClassificationResult:
     message: str
 
 
+# Entry moduli |X| of every rebuild a stage proposes, in the basis of its C,
+# as k and the parameters are unimodular: _EYE4 for F5 (Q = I, so C is Rb
+# itself) and F1, the anti-diagonal for F3, and the Hadamard-like pattern
+# for F4.
+_ANTI_DIAGONAL = np.fliplr(np.eye(4))
+_HADAMARD_LIKE = np.array(
+    [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]]
+) / np.sqrt(2)
+
+# (certificate, C, |X|, message): C is the input in the product basis of the
+# certificate, where its rebuild is X
+_Candidate = tuple[FamilySpec, np.ndarray, np.ndarray, str]
+
+
 def _accept(
-    Rb: np.ndarray, spec: FamilySpec, message: str, tol: Tolerance
+    Rb: np.ndarray,
+    spec: FamilySpec,
+    C: np.ndarray,
+    pattern: np.ndarray,
+    message: str,
+    tol: Tolerance,
 ) -> ClassificationResult | None:
+    # The rebuild residual is ||X - C||_F, and ||x| - |c|| <= |x - c| entry
+    # by entry, so the floor ||pattern - |C|||_F never exceeds it.  Above
+    # twice the acceptance bound no rounding of the two routes can close the
+    # gap, and the rebuild is not paid for.
+    if frobenius(np.abs(C) - pattern) > 2 * _ACCEPT:
+        return None
     try:
         member = family_member(spec, tol=tol)
     except ConstraintViolation:
@@ -266,12 +309,12 @@ def _accept(
     return ClassificationResult(spec.family, spec, residual, message)
 
 
-def _try_f5(Rb: np.ndarray, tol: Tolerance) -> ClassificationResult | None:
+def _try_f5(Rb: np.ndarray) -> Iterator[_Candidate]:
     k = np.trace(Rb) / 4
     if abs(k) < 0.5:
-        return None
+        return
     spec = FamilySpec("F5", np.eye(2), k / abs(k))
-    return _accept(Rb, spec, "scalar multiple of the identity", tol)
+    yield spec, Rb, _EYE4, "scalar multiple of the identity"
 
 
 _VEC_I = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
@@ -285,7 +328,7 @@ def _local_basis(X: np.ndarray) -> np.ndarray:
     of vec(I) and vec(N), and tr N = 0 makes the two orthogonal.  With
     vec(I) projected out, every column is a multiple of vec(N).
     """
-    R = realign(X)
+    R = _realign(X)
     R = np.hstack([R, R.T])
     R = R - np.outer(_VEC_I, _VEC_I @ R)
     S = R[:, int(np.argmax(np.linalg.norm(R, axis=0)))].reshape(2, 2)
@@ -297,59 +340,68 @@ def _local_basis(X: np.ndarray) -> np.ndarray:
     return U
 
 
-def _try_f1(Rb: np.ndarray, tol: Tolerance) -> ClassificationResult | None:
+def _try_f1(M: np.ndarray) -> Iterator[_Candidate]:
     # An F1 member is M = Rb P = k (U (x) U) diag(1, p, q, r) (U (x) U)^dag
     # with U unitary: a Gram-diagonal Q is U diag(s1, s2), and the diagonal
     # factor commutes with the pattern.
-    M = Rb @ _SWAP
     U = _local_basis(M)
     A = kron(U, U)
+    C = dagger(A) @ M @ A
     # snap the moduli the family demands; the rebuild check has the last word
-    d = np.exp(1j * np.angle(np.diag(dagger(A) @ M @ A)))
+    d = np.exp(1j * np.angle(np.diag(C)))
     params = {"p": d[1] / d[0], "q": d[2] / d[0], "r": d[3] / d[0]}
     spec = FamilySpec("F1", U, d[0], params)
-    return _accept(Rb, spec, "diagonal pattern in a product basis", tol)
+    yield spec, C, _EYE4, "diagonal pattern in a product basis"
 
 
-def _try_f4(Rb: np.ndarray, tol: Tolerance) -> ClassificationResult | None:
+def _try_f4(M: np.ndarray, M4: np.ndarray) -> Iterator[_Candidate]:
     # An F4 member is M = k (U (x) U) H (U (x) U)^dag with U unitary, since
     # |a| = |d| makes a Gram-diagonal Q a multiple of a unitary, and with H
     # the Hadamard-like pattern H^4 = -Z (x) Z.  U comes back up to the order
     # and the phases e^{i a}, e^{i b} of its columns; H commutes with Z (x) Z,
     # so the phases act only through w = e^{i (b - a)}, up to sign, and
     # C_03 / C_00 = w^-2 gives the Q = V diag(1, w) that undoes them.
-    M = Rb @ _SWAP
-    U = _local_basis(np.linalg.matrix_power(M, 4))
+    U = _local_basis(M4)
     for V in (U, U[:, ::-1]):
         A = kron(V, V)
         C = dagger(A) @ M @ A
         w = np.exp(0.5j * (np.angle(C[0, 0]) - np.angle(C[0, 3])))
         k = np.exp(1j * np.angle(C[0, 0]))
         spec = FamilySpec("F4", V @ np.diag([1.0, w]), k)
-        got = _accept(Rb, spec, "orthogonal pattern via fourth-power structure", tol)
-        if got:
-            return got
-    return None
+        yield spec, C, _HADAMARD_LIKE, "orthogonal pattern via fourth-power structure"
 
 
-def _try_f3(Rb: np.ndarray, tol: Tolerance) -> ClassificationResult | None:
+def _try_f3(M: np.ndarray, M2: np.ndarray) -> Iterator[_Candidate]:
     # An F3 member is M = Rb P = k (U (x) U) A (U (x) U)^dag with U unitary
     # and A the anti-diagonal pattern with |p| = |q| = 1: a Gram-diagonal Q
     # is U diag(s1, s2), and the diagonal part moves into the moduli of p, q.
     # A^2 = diag(pq, 1, 1, pq), so M^2 is diagonal in the U (x) U basis.
-    M = Rb @ _SWAP
-    U = _local_basis(M @ M)
+    U = _local_basis(M2)
     A = kron(U, U)
     C = dagger(A) @ M @ A
     k = (C[1, 2] + C[2, 1]) / 2
     if abs(k) < 1e-3:
-        return None
+        return
     p, q = C[0, 3] / k, C[3, 0] / k
     if abs(p) < 1e-8 or abs(q) < 1e-8:
-        return None
+        return
     # snap the moduli the family demands; the rebuild check has the last word
     spec = FamilySpec("F3", U, k / abs(k), {"p": p / abs(p), "q": q / abs(q)})
-    return _accept(Rb, spec, "anti-diagonal pattern, Gram-diagonal Q", tol)
+    yield spec, C, _ANTI_DIAGONAL, "anti-diagonal pattern, Gram-diagonal Q"
+
+
+def _candidates(Rb: np.ndarray) -> Iterator[_Candidate]:
+    """Every certificate the stages propose, in the order F5, F1, F4, F3.
+
+    M = Rb P, M^2 and M^4 = M^2 M^2 are each formed once, when a stage
+    first needs them.
+    """
+    yield from _try_f5(Rb)
+    M = Rb @ _SWAP
+    yield from _try_f1(M)
+    M2 = M @ M
+    yield from _try_f4(M, M2 @ M2)
+    yield from _try_f3(M, M2)
 
 
 def classify(
@@ -360,7 +412,16 @@ def classify(
     """Assign a unitary braided solution to a family, with certificate.
 
     Stages run in the order F5, F1, F4, F3 and the first stage whose
-    reconstruction lands within 1e-6 of the input wins.  Every stage reads
+    reconstruction lands within 1e-6 (_ACCEPT) of the input wins.  Each
+    stage proposes its certificate together with C, the input in the
+    certificate's product basis (for F5, Rb itself), where the rebuild X
+    has fixed entry moduli: 1 on the diagonal for F5 and F1, 1 on the
+    anti-diagonal for F3, 1/sqrt2 on the eight Hadamard-like entries for
+    F4.  ||X - C||_F is the rebuild residual, and the floor
+    || |C| - |X| ||_F never exceeds it, so a certificate whose floor exceeds
+    2 * _ACCEPT is declined without calling family_member; the factor 2
+    covers the rounding between the two.  Every accepted certificate still
+    comes from the full rebuild.  Every stage reads
     its certificate off the structure of the input in closed form, with no
     search and no eigenvalue solver (F1, F4 and F3 take the local unitary U
     from the realignment of M, M^4 and M^2, M = R_b P), so the result is
@@ -382,8 +443,8 @@ def classify(
         raise NotASolution(
             f"braided equation residual {resid:.3e} exceeds bound {bound:.3e}"
         )
-    for stage in (_try_f5, _try_f1, _try_f4, _try_f3):
-        got = stage(Rb, tol)
+    for candidate in _candidates(Rb):
+        got = _accept(Rb, *candidate, tol)
         if got:
             return got
     return ClassificationResult(

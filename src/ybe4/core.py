@@ -71,7 +71,11 @@ def _split_dim(R: np.ndarray) -> int:
 def braided_residual(R: np.ndarray) -> float:
     """Frobenius norm of (R(x)I)(I(x)R)(R(x)I) - (I(x)R)(R(x)I)(I(x)R)."""
     R = as_square(R)
-    d = _split_dim(R)
+    return _braided_residual(R, _split_dim(R))
+
+
+def _braided_residual(R: np.ndarray, d: int) -> float:
+    """braided_residual for a validated R on C^d (x) C^d."""
     eye = np.eye(d, dtype=complex)
     L = kron(R, eye)
     M = kron(eye, R)
@@ -90,12 +94,16 @@ def _algebraic_embeddings(R: np.ndarray, d: int):
 def algebraic_residual(R: np.ndarray) -> float:
     """Frobenius norm of R12 R13 R23 - R23 R13 R12."""
     R = as_square(R)
-    d = _split_dim(R)
+    return _algebraic_residual(R, _split_dim(R))
+
+
+def _algebraic_residual(R: np.ndarray, d: int) -> float:
+    """algebraic_residual for a validated R on C^d (x) C^d."""
     R12, R13, R23 = _algebraic_embeddings(R, d)
     return frobenius(R12 @ R13 @ R23 - R23 @ R13 @ R12)
 
 
-_RESIDUALS = {"braided": braided_residual, "algebraic": algebraic_residual}
+_RESIDUALS = {"braided": _braided_residual, "algebraic": _algebraic_residual}
 
 
 def solution_check(
@@ -121,7 +129,7 @@ def solution_check(
     scale = np.abs(R).max()
     with np.errstate(over="ignore", invalid="ignore"):
         bound = tol.residual_tol * max(1.0, scale) ** 3
-        residual = _RESIDUALS[form](R)
+        residual = _RESIDUALS[form](R, _split_dim(R))
     if not (np.isfinite(bound) and np.isfinite(residual)):
         raise NonFiniteValue(
             f"the {form} residual of a matrix with max entry {scale:.3e} overflows"

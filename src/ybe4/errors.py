@@ -98,3 +98,18 @@ class NonFiniteValue(Ybe4Error, ValueError):
     bounds that overflow.  Also a ValueError, so callers that catch the
     built-in keep working.
     """
+
+
+class ZeroState(Ybe4Error, ValueError):
+    """A two-qubit amplitude vector is zero, so it names no state.
+
+    Also a ValueError, so callers that catch the built-in keep working.
+    """
+
+
+class EntangledState(Ybe4Error, ValueError):
+    """An entangled state was given where a product state is required.
+
+    Raised by TwoQubitState.factors.  Also a ValueError, so callers that
+    catch the built-in keep working.
+    """

@@ -69,6 +69,8 @@ __all__ = [
 
 FAMILY_NAMES = ("F1", "F2", "F3", "F4", "F5")
 
+_SWAP = swap_matrix(2)  # read-only; family_representative hands out fresh copies
+
 
 @dataclass(frozen=True, eq=False)
 class FamilySpec:
@@ -100,10 +102,14 @@ class GramData:
 
 
 def gram(Q: np.ndarray) -> GramData:
-    Q = np.asarray(Q, dtype=complex)
+    G, x, y, z = _gram_entries(np.asarray(Q, dtype=complex))
+    return GramData(x=x, y=y, z=z, G=G, H=kron(G, G))
+
+
+def _gram_entries(Q: np.ndarray) -> tuple[np.ndarray, float, float, complex]:
+    """G = Q^dag Q and its entries x, y, z, as in gram but without H."""
     G = dagger(Q) @ Q
-    H = kron(G, G)
-    return GramData(x=G[0, 0].real, y=G[1, 1].real, z=G[1, 0], G=G, H=H)
+    return G, G[0, 0].real, G[1, 1].real, G[1, 0]
 
 
 def d_matrix(R: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -126,10 +132,10 @@ def _hadamard_like() -> np.ndarray:
 
 def f2_params(Q: np.ndarray) -> tuple[complex, complex]:
     """The (p, q) forced on the F2 anti-diagonal pattern by Q; p q = 1 exactly."""
-    g = gram(Q)
-    if abs(g.z) <= DEFAULT_TOL.singular_tol * (g.x + g.y):
+    _, x, y, z = _gram_entries(np.asarray(Q, dtype=complex))
+    if abs(z) <= DEFAULT_TOL.singular_tol * (x + y):
         raise ConstraintViolation("F2 needs a Q with nonvanishing Gram off-diagonal")
-    p = g.y * np.conj(g.z) / (g.x * g.z)
+    p = y * np.conj(z) / (x * z)
     return p, 1.0 / p
 
 
@@ -176,10 +182,10 @@ def _check_spec(
         return out, None
     if _misses(abs(spec.k), 1.0, tol.eq_tol):
         out.append(f"|k| = {abs(spec.k):.6g} is not 1")
-    g = gram(Q)
-    scale = g.x + g.y
+    _, x, y, z = _gram_entries(Q)
+    scale = x + y
     qmax = np.abs(Q).max()
-    z_small = abs(g.z) <= tol.eq_tol * scale
+    z_small = abs(z) <= tol.eq_tol * scale
     fam, pa = spec.family, spec.params
     if fam == "F1":
         for name in ("p", "q", "r"):
@@ -188,13 +194,13 @@ def _check_spec(
             elif _misses(abs(pa[name]), 1.0, tol.eq_tol):
                 out.append(f"|{name}| = {abs(pa[name]):.6g} is not 1")
         if not z_small:
-            out.append(f"F1 needs Gram off-diagonal zero, got |z| = {abs(g.z):.3g}")
+            out.append(f"F1 needs Gram off-diagonal zero, got |z| = {abs(z):.3g}")
     elif fam == "F2":
-        if abs(g.z) <= tol.singular_tol * scale:
+        if abs(z) <= tol.singular_tol * scale:
             out.append("F2 needs nonvanishing Gram off-diagonal")
     elif fam == "F3":
         if not z_small:
-            out.append(f"F3 needs Gram off-diagonal zero, got |z| = {abs(g.z):.3g}")
+            out.append(f"F3 needs Gram off-diagonal zero, got |z| = {abs(z):.3g}")
         a, d = Q[0, 0], Q[1, 1]
         if min(abs(a), abs(d)) <= tol.singular_tol * qmax:
             out.append("F3 needs nonvanishing corner entries a, d")
@@ -210,7 +216,7 @@ def _check_spec(
                     )
     elif fam == "F4":
         if not z_small:
-            out.append(f"F4 needs Gram off-diagonal zero, got |z| = {abs(g.z):.3g}")
+            out.append(f"F4 needs Gram off-diagonal zero, got |z| = {abs(z):.3g}")
         if _misses(abs(Q[0, 0]), abs(Q[1, 1]), tol.eq_tol * qmax):
             out.append(
                 f"F4 needs |a| = |d|, got {abs(Q[0, 0]):.6g} vs {abs(Q[1, 1]):.6g}"
@@ -234,7 +240,7 @@ def family_member(
     R = family_representative(spec)
     M = spec.k * kron(spec.Q, spec.Q) @ R @ kron(Qinv, Qinv)
     if form == "braided":
-        M = M @ swap_matrix(2)
+        M = M @ _SWAP
     return M
 
 

@@ -290,7 +290,11 @@ def eigenvalues(A: np.ndarray) -> np.ndarray:
 
 def is_unitary(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether A†A = I within tol; returns (verdict, Frobenius defect)."""
-    A = as_square(A)
+    return _is_unitary(as_square(A), tol)
+
+
+def _is_unitary(A: np.ndarray, tol: Tolerance) -> tuple[bool, float]:
+    """is_unitary for an A that as_square has already returned."""
     n = A.shape[0]
     # entries near the float range overflow A†A; such an A is not unitary
     with np.errstate(over="ignore", invalid="ignore"):

@@ -6,17 +6,29 @@ import numpy as np
 import pytest
 
 from ybe4.classify import (
+    _MAGIC,
     ClassificationResult,
     TwoQubitState,
+    _candidates,
+    _takagi_real,
+    _witness_weights,
     classify,
     is_entangling_gate,
     is_product_state,
     realign,
 )
 from ybe4.core import braided_residual, swap_matrix
-from ybe4.errors import DimensionError, NonFiniteValue, NotASolution, NotUnitary
-from ybe4.families import FamilySpec, family_member, random_family_spec
-from ybe4.linalg import DEFAULT_TOL, Tolerance, frobenius, kron
+from ybe4.errors import (
+    ConstraintViolation,
+    DimensionError,
+    EntangledState,
+    NonFiniteValue,
+    NotASolution,
+    NotUnitary,
+    ZeroState,
+)
+from ybe4.families import FAMILY_NAMES, FamilySpec, family_member, random_family_spec
+from ybe4.linalg import DEFAULT_TOL, Tolerance, dagger, frobenius, kron
 
 SWAP = swap_matrix(2)
 HADA_SWAP = (
@@ -42,8 +54,10 @@ def test_state_normalization_and_determinant():
 def test_state_input_validation():
     with pytest.raises(DimensionError):
         TwoQubitState([1, 0, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ZeroState):
         TwoQubitState([0, 0, 0, 0])
+    with pytest.raises(ZeroState):
+        is_product_state([0, 0, 0, 0])
 
 
 @pytest.mark.parametrize(
@@ -88,7 +102,7 @@ def test_product_factors_roundtrip():
         s = TwoQubitState(np.kron(u, v))
         fu, fv = s.factors()
         assert np.allclose(np.kron(fu, fv), s.vec, atol=1e-10)
-    with pytest.raises(ValueError):
+    with pytest.raises(EntangledState):
         TwoQubitState(BELL).factors()
 
 
@@ -507,3 +521,114 @@ def test_radius_is_invariant_under_local_gates_and_swap():
             report = is_entangling_gate(moved)
             assert report.entangling
             assert abs(2 * report.witness.output_pair_determinant - rho) <= 1e-12
+
+
+def perturbed_member(rng, family, eps):
+    """exp(i eps H) times a member, H Hermitian with ||H||_2 = 1: unitary, and
+    eps away from the family."""
+    H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    H = H + dagger(H)
+    lam, V = np.linalg.eigh(H / np.linalg.norm(H, 2))
+    step = V @ np.diag(np.exp(1j * eps * lam)) @ dagger(V)
+    return step @ family_member(random_family_spec(family, rng))
+
+
+def test_floor_never_exceeds_rebuild_residual():
+    # the floor || |C| - |X| ||_F stands in for the rebuild residual of every
+    # certificate a stage proposes, both F4 column orders included; members
+    # pushed 1e-7 to 1e-5 off their family put residuals around the bound
+    rng = np.random.default_rng(17)
+    gates = [family_member(random_family_spec(f, rng)) for f in FAMILY_NAMES * 30]
+    gates += haar_gates(100)
+    gates += [
+        perturbed_member(rng, f, eps)
+        for eps in (1e-7, 1e-6, 2e-6, 1e-5)
+        for f in FAMILY_NAMES * 6
+    ]
+    residuals = {}
+    for G in gates:
+        for spec, C, pattern, _ in _candidates(G):
+            try:
+                residual = frobenius(family_member(spec) - G)
+            except ConstraintViolation:
+                continue
+            floor = frobenius(np.abs(C) - pattern)
+            assert floor <= residual + 1e-12
+            residuals.setdefault(spec.family, []).append(residual)
+    assert sorted(residuals) == ["F1", "F3", "F4", "F5"]
+    every = np.concatenate(list(residuals.values()))
+    assert np.any((every > 1e-7) & (every < 1e-5))
+
+
+def classify_rebuilding_every_candidate(Rb, tol):
+    """Reference: the stage loop without the floor, one rebuild per candidate."""
+    for spec, _, _, message in _candidates(Rb):
+        try:
+            residual = frobenius(family_member(spec, tol=tol) - Rb)
+        except ConstraintViolation:
+            continue
+        if residual <= 1e-6:
+            return certificate(spec), residual, message
+    return None, float("inf"), "no family certificate found"
+
+
+def certificate(spec):
+    """A spec as comparable values, bit for bit."""
+    if spec is None:
+        return None
+    return spec.family, spec.Q.tobytes(), spec.k, sorted(spec.params.items())
+
+
+def test_floor_declines_only_what_the_rebuild_declines():
+    # a loose residual_tol lets members pushed off their family through the
+    # solution check, so rebuild residuals and floors land around 1e-6
+    loose = Tolerance(residual_tol=1e-2)
+    rng = np.random.default_rng(19)
+    tags = set()
+    for eps in (3e-7, 6e-7, 1e-6, 1.5e-6, 2e-6, 4e-6):
+        for f in FAMILY_NAMES * 8:
+            G = perturbed_member(rng, f, eps)
+            got = classify(G, tol=loose)
+            want = classify_rebuilding_every_candidate(G, loose)
+            assert (certificate(got.spec), got.residual, got.message) == want
+            tags.add(got.family)
+    assert tags == {"F1", "F3", "F4", "F5", None}
+
+
+def magic_radius(G):
+    """(rho, ||S - tr(S)/4 I||_F), rho from the spectrum as if there were no exit."""
+    GM = dagger(_MAGIC) @ G @ _MAGIC
+    S = GM.T @ GM
+    O = _takagi_real(S)
+    d = np.diag(O.T @ S @ O)
+    spread = frobenius(S - np.trace(S) / 4 * np.eye(4))
+    return abs(_witness_weights(d) @ d), spread
+
+
+@pytest.mark.parametrize(
+    "tol, near_straddle",
+    [(DEFAULT_TOL, True), (Tolerance(singular_tol=1e-12), False)],
+)
+def test_scalar_s_exit_keeps_the_spectrum_verdict(tol, near_straddle):
+    # near-local gates at eps from 1e-8 to 1e-6 have ||S - c I||_F = 4 eps,
+    # on both sides of singular_tol / 2 at the default bound and above it at
+    # 1e-12; exact local gates, and their compositions with the swap, take
+    # the exit at both bounds
+    rng = np.random.default_rng(18)
+    near = [
+        near_local_gate(rng, eps) for eps in np.geomspace(1e-8, 1e-6, 9) for _ in range(12)
+    ]
+    local = []
+    for _ in range(10):
+        gate = kron(random_unitary_2(rng), random_unitary_2(rng))
+        local += [gate, gate @ SWAP]
+    exits = []
+    for G in near + local:
+        rho, spread = magic_radius(G)
+        exits.append(spread <= tol.singular_tol / 2)
+        report = is_entangling_gate(G, tol=tol)
+        assert report.entangling == (rho > tol.singular_tol)
+        assert (report.witness is None) == (not report.entangling)
+    assert all(exits[len(near):])
+    near_exits = sum(exits[: len(near)])
+    assert (0 < near_exits < len(near)) if near_straddle else near_exits == 0

@@ -64,7 +64,12 @@ def test_representatives_have_the_right_shape():
     R4 = family_representative(spec)
     assert np.allclose(R4 * np.sqrt(2), [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [-1, 0, 0, 1]])
 
+    R5 = family_representative(FamilySpec("F5", np.eye(2)))
+    assert np.array_equal(R5, SWAP)
+    # each call hands out a fresh array, so writing to one changes no member
+    R5[:] = 0
     assert np.array_equal(family_representative(FamilySpec("F5", np.eye(2))), SWAP)
+    assert np.array_equal(family_member(FamilySpec("F5", np.eye(2))), np.eye(4))
 
 
 def test_f2_params_forced_by_shear():
