@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConstraintViolation, SingularMatrix
+from .errors import ConstraintViolation, NonConvergence, SingularMatrix
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -244,8 +244,12 @@ def family_member(
     return M
 
 
+# np.sqrt(2) once, with the value and type the per-draw call gave
+_SQRT2 = np.sqrt(2)
+
+
 def _crand(rng: np.random.Generator):
-    return complex(rng.normal() + 1j * rng.normal()) / np.sqrt(2)
+    return complex(rng.normal() + 1j * rng.normal()) / _SQRT2
 
 
 def _unit(rng: np.random.Generator) -> complex:
@@ -488,8 +492,9 @@ def case_matrix(name: str, **params: complex) -> np.ndarray:
     )
 
 
-# Most draws of one candidate checked in a single stacked eigenvalues call;
-# bounds the memory of a run with many samples.
+# Most draws checked in one stacked eigenvalues call; bounds the memory of a
+# run with many samples.  A pass fills the stack across candidates, so a run
+# of n draws makes ceil(n / _FILTER_STACK) calls when nothing is redrawn.
 _FILTER_STACK = 1024
 
 
@@ -505,33 +510,81 @@ def run_elimination(
     spectrum is known in closed form, and only R11 can fail: it passes only
     on the measure-zero set |p| = |q|, so its random draws all fail.
 
-    Draws are taken one at a time from one generator, in the same order as
-    a per-draw loop would take them, and checked in stacks of at most
-    _FILTER_STACK.  A redraw is the next draw of the stream, so a stack
-    never holds more draws than are still needed, and dropping its
-    degenerate rows leaves exactly the verdicts, counts and generator state
-    of checking one draw at a time.
+    Draws are taken one at a time from one generator, in the order a
+    per-draw loop takes them, and every candidate's pending draws go into
+    one pass, checked by one stacked eigenvalues call of at most
+    _FILTER_STACK rows.  The generator state is saved after each
+    candidate's segment of the stack.  When a segment holds degenerate
+    rows, the pass keeps the counts up to and including that segment, sets
+    the generator back to the state saved after it and starts the next pass
+    with that candidate's redraws: the per-draw loop draws them at exactly
+    that point.  So the verdicts, counts and final generator state are
+    those of checking one draw at a time.
+
+    A NonConvergence names the candidate and the draw, and carries as
+    ``index`` the draw's position in that candidate's stream (from 0,
+    redraws included).
     """
     check_tolerance("rel_tol", rel_tol)
     rng = np.random.default_rng(seed)
-    report: dict[str, dict] = {}
-    for cand in hietarinta_candidates():
-        attempts = samples if cand.sampling else 1
-        passes = 0
-        redraws = 0
-        needed = attempts
-        while needed:
-            stack = [cand.sample(rng) for _ in range(min(needed, _FILTER_STACK))]
+    inventory = hietarinta_candidates()
+    attempts = [samples if cand.sampling else 1 for cand in inventory]
+    needed = list(attempts)
+    passes = [0] * len(inventory)
+    redraws = [0] * len(inventory)
+    drawn = [0] * len(inventory)
+    first = 0
+    while first < len(inventory):
+        stack: list[np.ndarray] = []
+        # (candidate, first row, end row, generator state after the segment)
+        segments: list[tuple[int, int, int, dict]] = []
+        for i in range(first, len(inventory)):
+            start = len(stack)
+            if start == _FILTER_STACK:
+                break
+            take = min(needed[i], _FILTER_STACK - start)
+            stack.extend(inventory[i].sample(rng) for _ in range(take))
+            segments.append((i, start, len(stack), rng.bit_generator.state))
+        try:
             ok, singular = _filter_verdicts(np.array(stack), rel_tol)
-            passes += int(ok.sum())
-            redraws += int(singular.sum())
-            needed -= int(ok.size - singular.sum())
-        report[cand.name] = {
-            "attempts": attempts,
-            "passes": passes,
-            "pass_rate": passes / attempts,
-            "redraws": redraws,
+        except NonConvergence as exc:
+            # The failing draw is real only if no earlier segment redraws:
+            # a redraw there would come before it in the per-draw loop.
+            j = sum(seg[1] <= exc.index for seg in segments) - 1
+            i, start = segments[j][:2]
+            del segments[j:]
+            if start:
+                ok, singular = _filter_verdicts(np.array(stack[:start]), rel_tol)
+            if not start or not singular.any():
+                n = drawn[i] + exc.index - start
+                raise NonConvergence(
+                    f"{inventory[i].name} draw {n}: root residual "
+                    f"{exc.residual:.3e} exceeds {exc.bound:.3e}",
+                    root=exc.root,
+                    residual=exc.residual,
+                    bound=exc.bound,
+                    index=n,
+                ) from exc
+        for i, start, stop, state in segments:
+            bad = int(singular[start:stop].sum())
+            passes[i] += int(ok[start:stop].sum())
+            redraws[i] += bad
+            drawn[i] += stop - start
+            needed[i] -= stop - start - bad
+            if bad:
+                rng.bit_generator.state = state
+                break
+        while first < len(inventory) and not needed[first]:
+            first += 1
+    report: dict[str, dict] = {
+        cand.name: {
+            "attempts": attempts[i],
+            "passes": passes[i],
+            "pass_rate": passes[i] / attempts[i],
+            "redraws": redraws[i],
         }
+        for i, cand in enumerate(inventory)
+    }
     report["eliminated"] = [
         name for name in sorted(report) if report[name]["pass_rate"] < 0.01
     ]

@@ -7,7 +7,7 @@ import pytest
 
 from ybe4 import families
 from ybe4.core import algebraic_residual, braided_residual, swap_matrix
-from ybe4.errors import ConstraintViolation, SingularMatrix
+from ybe4.errors import ConstraintViolation, NonConvergence, SingularMatrix
 from ybe4.families import (
     FAMILY_NAMES,
     CandidateRep,
@@ -429,6 +429,16 @@ def test_short_elimination_run_eliminates_exactly_one():
         assert report[name]["passes"] == report[name]["attempts"], name
 
 
+def test_crand_draws_are_unchanged():
+    # two normals and one division by sqrt(2) per draw, bit for bit
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(200):
+        z = families._crand(rng)
+        assert type(z) is complex
+        assert z == complex(ref.normal() + 1j * ref.normal()) / np.sqrt(2)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_random_family_spec_unknown_family():
     with pytest.raises(ValueError):
         random_family_spec("F7", np.random.default_rng(0))
@@ -506,29 +516,128 @@ def _flaky(p):
     return np.diag([1, p / abs(p), 1, 1 if abs(p) < 1.2 else 2]).astype(complex)
 
 
-@pytest.mark.parametrize("stack", [7, 1024])
+FLAKY = CandidateRep("RS", {"p": "generic"}, _flaky)
+
+
+def _with_flaky(inventory, position):
+    """R01, R11 and R13 with the flaky candidate RS at the given position."""
+    rest = [inventory["R01"], inventory["R11"], inventory["R13"]]
+    rest.insert({"first": 0, "middle": 1, "last": 3}[position], FLAKY)
+    return tuple(rest)
+
+
+# "samples+1" ends the first pass exactly on a segment boundary
+@pytest.mark.parametrize("stack", [1, 7, "samples+1", 1024])
 @pytest.mark.parametrize("samples", [20, 50])
 @pytest.mark.parametrize("rel_tol", [1e-6, 2.0])
 def test_stacked_elimination_redraws_like_per_draw_loop(
     monkeypatch, generators, stack, samples, rel_tol
 ):
     inventory = {c.name: c for c in hietarinta_candidates()}
-    flaky = CandidateRep("RS", {"p": "generic"}, _flaky)
+    cap = samples + 1 if stack == "samples+1" else stack
+    monkeypatch.setattr(families, "_FILTER_STACK", cap)
+    for position in ("first", "middle", "last"):
+        candidates = _with_flaky(inventory, position)
+        monkeypatch.setattr(families, "hietarinta_candidates", lambda: candidates)
+        for seed in range(5):
+            got = assert_matches_sequential(samples, seed, generators, rel_tol)
+            assert got["RS"]["redraws"] > 0, (position, seed)
+            if rel_tol < 1:
+                assert 0 < got["RS"]["passes"] < samples
+                assert got["eliminated"] == ["R11"]
+            else:
+                # a spread below 2 always passes, but a redraw still never counts
+                assert got["RS"]["passes"] == samples
+
+
+@pytest.mark.parametrize("samples, calls", [(20, 1), (1000, 8)])
+def test_elimination_checks_all_candidates_in_one_pass(monkeypatch, samples, calls):
+    # 3 + 8 * samples draws and no redraws: ceil(163 / 1024) = 1 stacked
+    # call, ceil(8003 / 1024) = 8
+    sizes = []
+    verdicts = families._filter_verdicts
+
+    def counting(M, rel_tol):
+        sizes.append(len(M))
+        return verdicts(M, rel_tol)
+
+    monkeypatch.setattr(families, "_filter_verdicts", counting)
+    report = run_elimination(samples=samples)
+    assert len(sizes) == calls
+    assert sum(sizes) == 3 + 8 * samples
+    assert all(report[c.name]["redraws"] == 0 for c in hietarinta_candidates())
+
+
+def _failing_eigenvalues(monkeypatch, call, row):
+    """Patch families.eigenvalues to raise NonConvergence at the given fused
+    row on the given call (from 0); every other call computes."""
+    calls = []
+
+    def patched(A):
+        calls.append(len(A))
+        if len(calls) - 1 == call:
+            raise NonConvergence(
+                f"root residual 3.000e+00 exceeds 1e-8 * 2.000e+08 in stack row {row}",
+                root=0.5 + 1j,
+                residual=3.0,
+                bound=2.0,
+                index=row,
+            )
+        return eigenvalues(A)
+
+    monkeypatch.setattr(families, "eigenvalues", patched)
+    return calls
+
+
+# fused rows of run_elimination(samples=20): R01, R02, R03, then 20 each of
+# R11 (rows 3-22), R12, R13 (43-62), ..., R31 (143-162)
+@pytest.mark.parametrize(
+    "row, name, draw", [(0, "R01", 0), (2, "R03", 0), (45, "R13", 2), (162, "R31", 19)]
+)
+def test_nonconvergence_names_candidate_and_draw(monkeypatch, row, name, draw):
+    calls = _failing_eigenvalues(monkeypatch, 0, row)
+    with pytest.raises(NonConvergence) as info:
+        run_elimination(samples=20, seed=0)
+    exc = info.value
+    assert str(exc).startswith(f"{name} draw {draw}:")
+    assert "stack row" not in str(exc)
+    assert exc.index == draw
+    assert (exc.root, exc.residual, exc.bound) == (0.5 + 1j, 3.0, 2.0)
+    # past R01's segment, the rows before the failing segment are checked again
+    assert calls == [163] + ([row - draw] if row else [])
+
+
+def test_nonconvergence_draw_counts_redraws(monkeypatch):
+    monkeypatch.setattr(families, "hietarinta_candidates", lambda: (FLAKY,))
+    assert _sequential_elimination(20, 0)["RS"]["redraws"] > 0
+    # the second pass holds only the redraws; its row 0 is the stream's 21st draw
+    _failing_eigenvalues(monkeypatch, 1, 0)
+    with pytest.raises(NonConvergence) as info:
+        run_elimination(samples=20, seed=0)
+    assert info.value.index == 20
+    assert str(info.value).startswith("RS draw 20:")
+
+
+def test_nonconvergence_after_a_redraw_is_not_taken(monkeypatch, generators):
+    # RS's redraws come before R13's draws in the per-draw loop, so a failure
+    # among the first pass's R13 rows concerns draws that are never taken
+    inventory = {c.name: c for c in hietarinta_candidates()}
     monkeypatch.setattr(
-        families,
-        "hietarinta_candidates",
-        lambda: (inventory["R01"], flaky, inventory["R11"], inventory["R13"]),
+        families, "hietarinta_candidates", lambda: (FLAKY, inventory["R13"])
     )
-    monkeypatch.setattr(families, "_FILTER_STACK", stack)
-    for seed in range(5):
-        got = assert_matches_sequential(samples, seed, generators, rel_tol)
-        assert got["RS"]["redraws"] > 0
-        if rel_tol < 1:
-            assert 0 < got["RS"]["passes"] < samples
-            assert got["eliminated"] == ["R11"]
+    for seed in (0, 1, 11):  # seed 11 draws RS without a redraw
+        monkeypatch.setattr(families, "eigenvalues", eigenvalues)
+        want = _sequential_elimination(20, seed)
+        calls = _failing_eigenvalues(monkeypatch, 0, 21)
+        assert bool(want["RS"]["redraws"]) == (seed != 11)
+        if want["RS"]["redraws"]:
+            assert run_elimination(20, seed) == want
+            ref, fused = generators[-2:]
+            assert fused.bit_generator.state == ref.bit_generator.state
+            assert calls[:2] == [40, 20]  # the failing pass, then its RS rows
         else:
-            # a spread below 2 always passes, but a redraw still never counts
-            assert got["RS"]["passes"] == samples
+            with pytest.raises(NonConvergence, match="^R13 draw 1:"):
+                run_elimination(20, seed)
 
 
 # Closed-form spectra of the inventory: R02, R03, R11 and R14 by hand, the

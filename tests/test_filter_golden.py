@@ -1,8 +1,9 @@
 """Seeded `ybe4 filter` reports are pinned byte for byte.
 
 The files under tests/golden/ hold the stdout of the per-draw filter loop
-that the stacked filter replaced; any change to a draw's verdict, a count
-or the generator stream shows up here.
+that the stacked filter replaced (filter_samples1000_seed1.json that of
+the per-candidate stacks, which gave the same reports); any change to a
+draw's verdict, a count or the generator stream shows up here.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from ybe4.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("samples, seed", [(200, 1), (25, 4)])
+# (1000, 1) is the README's own command: eight capped stacked passes
+@pytest.mark.parametrize("samples, seed", [(1000, 1), (200, 1), (25, 4)])
 def test_filter_report_is_byte_identical(capsys, samples, seed):
     code = main(["filter", "--samples", str(samples), "--seed", str(seed)])
     out = capsys.readouterr().out
