@@ -31,6 +31,8 @@ spectrum cannot be flattened to a single circle.
 
 from __future__ import annotations
 
+import operator
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -333,8 +335,10 @@ def eigenvalue_filter(M: np.ndarray, rel_tol: float = 1e-6) -> bool:
     A solution that can be rescaled to unitary must have its spectrum on one
     circle, so failing this filter rules a candidate out.  Raises
     SingularMatrix when the moduli span so many orders of magnitude that the
-    ratio test is meaningless.
+    ratio test is meaningless, and ConstraintViolation unless rel_tol is
+    finite and positive.
     """
+    check_tolerance("rel_tol", rel_tol)
     passes, singular = _filter_verdicts(as_square(M), rel_tol)
     if singular:
         raise SingularMatrix("eigenvalue moduli ratio below 1e-10")
@@ -493,8 +497,8 @@ def case_matrix(name: str, **params: complex) -> np.ndarray:
 
 
 # Most draws checked in one stacked eigenvalues call; bounds the memory of a
-# run with many samples.  A pass fills the stack across candidates, so a run
-# of n draws makes ceil(n / _FILTER_STACK) calls when nothing is redrawn.
+# run with many samples.  A run of n draws with no redraw makes
+# ceil(n / _FILTER_STACK) calls, and the draws do not depend on it.
 _FILTER_STACK = 1024
 
 
@@ -504,78 +508,63 @@ def run_elimination(
     """Push random draws of every inventory candidate through the filter.
 
     Parameter-free candidates are evaluated once (they never change);
-    parametric ones get ``samples`` independent draws, redrawing any whose
-    spectrum degenerates.  Returns per-candidate attempt/pass counts and the
+    parametric ones get ``samples`` (an integer >= 1) independent draws,
+    redrawing any whose spectrum degenerates.  Returns per-candidate attempt/pass counts and the
     list of names whose pass rate falls below 1%.  Every candidate's
     spectrum is known in closed form, and only R11 can fail: it passes only
     on the measure-zero set |p| = |q|, so its random draws all fail.
 
-    Draws are taken one at a time from one generator, in the order a
-    per-draw loop takes them, and every candidate's pending draws go into
-    one pass, checked by one stacked eigenvalues call of at most
-    _FILTER_STACK rows.  The generator state is saved after each
-    candidate's segment of the stack.  When a segment holds degenerate
-    rows, the pass keeps the counts up to and including that segment, sets
-    the generator back to the state saved after it and starts the next pass
-    with that candidate's redraws: the per-draw loop draws them at exactly
-    that point.  So the verdicts, counts and final generator state are
-    those of checking one draw at a time.
-
-    A NonConvergence names the candidate and the draw, and carries as
-    ``index`` the draw's position in that candidate's stream (from 0,
-    redraws included).
+    The pending draws form a first-in-first-out queue, each candidate's in
+    inventory order, and a degenerate draw queues one redraw at the back.
+    Each pass takes up to _FILTER_STACK draws from the front, in order from
+    one seeded generator, and checks them with one stacked eigenvalues
+    call, so the draws and counts are those of taking the queue one draw
+    at a time.  A NonConvergence names the candidate and the draw, and
+    carries as ``index`` the draw's position in that candidate's stream
+    (from 0, redraws included).
     """
     check_tolerance("rel_tol", rel_tol)
+    try:
+        count = operator.index(samples)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ConstraintViolation(f"samples must be an integer >= 1, got {samples!r}")
     rng = np.random.default_rng(seed)
     inventory = hietarinta_candidates()
-    attempts = [samples if cand.sampling else 1 for cand in inventory]
-    needed = list(attempts)
+    attempts = [count if cand.sampling else 1 for cand in inventory]
     passes = [0] * len(inventory)
     redraws = [0] * len(inventory)
     drawn = [0] * len(inventory)
-    first = 0
-    while first < len(inventory):
-        stack: list[np.ndarray] = []
-        # (candidate, first row, end row, generator state after the segment)
-        segments: list[tuple[int, int, int, dict]] = []
-        for i in range(first, len(inventory)):
-            start = len(stack)
-            if start == _FILTER_STACK:
-                break
-            take = min(needed[i], _FILTER_STACK - start)
-            stack.extend(inventory[i].sample(rng) for _ in range(take))
-            segments.append((i, start, len(stack), rng.bit_generator.state))
+    queue = deque(enumerate(attempts))  # runs of (candidate, draws)
+    while queue:
+        rows: list[int] = []
+        while queue and len(rows) < _FILTER_STACK:
+            i, left = queue.popleft()
+            take = min(left, _FILTER_STACK - len(rows))
+            if take < left:
+                queue.appendleft((i, left - take))
+            rows += [i] * take
+        stack = np.array([inventory[i].sample(rng) for i in rows])
         try:
-            ok, singular = _filter_verdicts(np.array(stack), rel_tol)
+            ok, singular = _filter_verdicts(stack, rel_tol)
         except NonConvergence as exc:
-            # The failing draw is real only if no earlier segment redraws:
-            # a redraw there would come before it in the per-draw loop.
-            j = sum(seg[1] <= exc.index for seg in segments) - 1
-            i, start = segments[j][:2]
-            del segments[j:]
-            if start:
-                ok, singular = _filter_verdicts(np.array(stack[:start]), rel_tol)
-            if not start or not singular.any():
-                n = drawn[i] + exc.index - start
-                raise NonConvergence(
-                    f"{inventory[i].name} draw {n}: root residual "
-                    f"{exc.residual:.3e} exceeds {exc.bound:.3e}",
-                    root=exc.root,
-                    residual=exc.residual,
-                    bound=exc.bound,
-                    index=n,
-                ) from exc
-        for i, start, stop, state in segments:
-            bad = int(singular[start:stop].sum())
-            passes[i] += int(ok[start:stop].sum())
-            redraws[i] += bad
-            drawn[i] += stop - start
-            needed[i] -= stop - start - bad
+            i = rows[exc.index]
+            n = drawn[i] + rows[: exc.index].count(i)
+            raise NonConvergence(
+                f"{inventory[i].name} draw {n}: root residual "
+                f"{exc.residual:.3e} exceeds {exc.bound:.3e}",
+                root=exc.root,
+                residual=exc.residual,
+                bound=exc.bound,
+                index=n,
+            ) from exc
+        for i, good, bad in zip(rows, ok.tolist(), singular.tolist()):
+            drawn[i] += 1
+            passes[i] += good
             if bad:
-                rng.bit_generator.state = state
-                break
-        while first < len(inventory) and not needed[first]:
-            first += 1
+                redraws[i] += 1
+                queue.append((i, 1))
     report: dict[str, dict] = {
         cand.name: {
             "attempts": attempts[i],

@@ -166,17 +166,19 @@ def char_poly(A: np.ndarray) -> np.ndarray:
 
     Returns monic coefficients in descending powers, so a dim-4 input
     yields five numbers (1, c3, c2, c1, c0).  A stack of shape (..., n, n)
-    yields shape (..., n + 1): the recursion runs n stacked matmuls.
+    yields shape (..., n + 1).  Each step forms one stacked product AM = A @ M
+    and reads both c_k = -tr(AM) / k and the next M = AM + c_k I from it.
     """
     A = _square(A, stack=True)
     n = A.shape[-1]
     eye = np.eye(n, dtype=complex)
     coeffs = np.zeros(A.shape[:-2] + (n + 1,), dtype=complex)
     coeffs[..., 0] = 1.0
-    M = np.zeros_like(A)
+    M = eye
     for k in range(1, n + 1):
-        M = A @ M + coeffs[..., k - 1, None, None] * eye
-        coeffs[..., k] = -np.trace(A @ M, axis1=-2, axis2=-1) / k
+        AM = A @ M
+        coeffs[..., k] = -np.trace(AM, axis1=-2, axis2=-1) / k
+        M = AM + coeffs[..., k, None, None] * eye
     return coeffs
 
 

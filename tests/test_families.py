@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -421,6 +423,24 @@ def test_eigenvalue_filter_raises_on_near_singular():
         eigenvalue_filter(np.diag([1, 1, 1, 1e-12]).astype(complex))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_eigenvalue_filter_rejects_bad_rel_tol(bad):
+    # on a flat spectrum a NaN or negative bound would read "not flat" and
+    # an infinite one "flat", whatever the matrix
+    with pytest.raises(ConstraintViolation, match="rel_tol"):
+        eigenvalue_filter(SWAP, bad)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, "20", None])
+def test_elimination_rejects_bad_samples(bad):
+    with pytest.raises(ConstraintViolation, match="samples must be an integer >= 1"):
+        run_elimination(samples=bad)
+
+
+def test_elimination_takes_integer_like_samples():
+    assert run_elimination(np.int64(3), seed=2) == run_elimination(3, seed=2)
+
+
 def test_short_elimination_run_eliminates_exactly_one():
     report = run_elimination(samples=40, seed=5)
     assert report["eliminated"] == ["R11"]
@@ -445,33 +465,45 @@ def test_random_family_spec_unknown_family():
 
 
 def _sequential_elimination(samples, seed, rel_tol=1e-6):
-    """Reference: the per-draw loop, one eigenvalue_filter call per draw."""
+    """Reference: the first-in-first-out draw order, one eigenvalue_filter
+    call per draw.  Each candidate's draws queue up in inventory order, and
+    a degenerate draw queues one redraw at the back."""
     rng = np.random.default_rng(seed)
-    report = {}
-    for cand in families.hietarinta_candidates():
-        attempts = samples if cand.sampling else 1
-        passes = 0
-        redraws = 0
-        for _ in range(attempts):
-            while True:
-                M = cand.sample(rng)
-                try:
-                    ok = eigenvalue_filter(M, rel_tol)
-                except SingularMatrix:
-                    redraws += 1
-                    continue
-                break
-            passes += int(ok)
-        report[cand.name] = {
-            "attempts": attempts,
-            "passes": passes,
-            "pass_rate": passes / attempts,
-            "redraws": redraws,
+    inventory = families.hietarinta_candidates()
+    attempts = [samples if cand.sampling else 1 for cand in inventory]
+    passes = [0] * len(inventory)
+    redraws = [0] * len(inventory)
+    drawn = [0] * len(inventory)
+    queue = deque(i for i, n in enumerate(attempts) for _ in range(n))
+    while queue:
+        i = queue.popleft()
+        M = inventory[i].sample(rng)
+        try:
+            passes[i] += eigenvalue_filter(M, rel_tol)
+        except SingularMatrix:
+            redraws[i] += 1
+            queue.append(i)
+        except NonConvergence as exc:
+            raise NonConvergence(
+                f"{inventory[i].name} draw {drawn[i]}: root residual "
+                f"{exc.residual:.3e} exceeds {exc.bound:.3e}",
+                root=exc.root,
+                residual=exc.residual,
+                bound=exc.bound,
+                index=drawn[i],
+            ) from exc
+        drawn[i] += 1
+    report = {
+        cand.name: {
+            "attempts": attempts[i],
+            "passes": passes[i],
+            "pass_rate": passes[i] / attempts[i],
+            "redraws": redraws[i],
         }
+        for i, cand in enumerate(inventory)
+    }
     report["eliminated"] = [
-        name
-        for name in sorted(report)
-        if isinstance(report[name], dict) and report[name]["pass_rate"] < 0.01
+        name for name in sorted(report) if report[name]["pass_rate"] < 0.01
     ]
     return report
 
@@ -526,7 +558,7 @@ def _with_flaky(inventory, position):
     return tuple(rest)
 
 
-# "samples+1" ends the first pass exactly on a segment boundary
+# "samples+1" ends the first pass exactly on a boundary between candidates
 @pytest.mark.parametrize("stack", [1, 7, "samples+1", 1024])
 @pytest.mark.parametrize("samples", [20, 50])
 @pytest.mark.parametrize("rel_tol", [1e-6, 2.0])
@@ -568,25 +600,59 @@ def test_elimination_checks_all_candidates_in_one_pass(monkeypatch, samples, cal
     assert all(report[c.name]["redraws"] == 0 for c in hietarinta_candidates())
 
 
-def _failing_eigenvalues(monkeypatch, call, row):
-    """Patch families.eigenvalues to raise NonConvergence at the given fused
-    row on the given call (from 0); every other call computes."""
-    calls = []
+def _draws(samples, seed):
+    """Every (candidate name, matrix) the reference draws, in order."""
+    inventory = families.hietarinta_candidates()
+    seen = []
 
-    def patched(A):
-        calls.append(len(A))
-        if len(calls) - 1 == call:
+    def recorded(cand):
+        def build(**params):
+            seen.append((cand.name, cand.build(**params)))
+            return seen[-1][1]
+
+        return CandidateRep(cand.name, cand.sampling, build)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            families, "hietarinta_candidates", lambda: tuple(map(recorded, inventory))
+        )
+        _sequential_elimination(samples, seed)
+    return seen
+
+
+def _poison(monkeypatch, samples, seed, name, draw):
+    """Make families.eigenvalues fail, by value, on the given draw of the
+    named candidate, with a root, residual and bound read off that matrix."""
+    P = [M for key, M in _draws(samples, seed) if key == name][draw]
+
+    def poisoned(A):
+        hit = (A == P).all(axis=(-2, -1)).reshape(-1)
+        if hit.any():
+            row = int(np.argmax(hit))
             raise NonConvergence(
-                f"root residual 3.000e+00 exceeds 1e-8 * 2.000e+08 in stack row {row}",
-                root=0.5 + 1j,
-                residual=3.0,
-                bound=2.0,
-                index=row,
+                f"poisoned row {row}",
+                root=complex(P[0, 0] + P[3, 3]),
+                residual=float(np.abs(P).sum()),
+                bound=float(np.abs(P).max()),
+                index=row if A.ndim > 2 else None,
             )
         return eigenvalues(A)
 
-    monkeypatch.setattr(families, "eigenvalues", patched)
-    return calls
+    monkeypatch.setattr(families, "eigenvalues", poisoned)
+    return P
+
+
+def assert_fails_like_reference(samples, seed, name, draw):
+    with pytest.raises(NonConvergence) as ref:
+        _sequential_elimination(samples, seed)
+    with pytest.raises(NonConvergence) as got:
+        run_elimination(samples, seed)
+    want, exc = ref.value, got.value
+    assert str(exc).startswith(f"{name} draw {draw}: root residual")
+    assert str(exc) == str(want)
+    assert exc.index == want.index == draw
+    assert (exc.root, exc.residual, exc.bound) == (want.root, want.residual, want.bound)
+    return exc
 
 
 # fused rows of run_elimination(samples=20): R01, R02, R03, then 20 each of
@@ -595,49 +661,29 @@ def _failing_eigenvalues(monkeypatch, call, row):
     "row, name, draw", [(0, "R01", 0), (2, "R03", 0), (45, "R13", 2), (162, "R31", 19)]
 )
 def test_nonconvergence_names_candidate_and_draw(monkeypatch, row, name, draw):
-    calls = _failing_eigenvalues(monkeypatch, 0, row)
-    with pytest.raises(NonConvergence) as info:
-        run_elimination(samples=20, seed=0)
-    exc = info.value
-    assert str(exc).startswith(f"{name} draw {draw}:")
-    assert "stack row" not in str(exc)
-    assert exc.index == draw
-    assert (exc.root, exc.residual, exc.bound) == (0.5 + 1j, 3.0, 2.0)
-    # past R01's segment, the rows before the failing segment are checked again
-    assert calls == [163] + ([row - draw] if row else [])
+    P = _poison(monkeypatch, 20, 0, name, draw)
+    exc = assert_fails_like_reference(20, 0, name, draw)
+    assert "row" not in str(exc)
+    assert exc.residual == np.abs(P).sum()
+    assert exc.__cause__.index == row
 
 
 def test_nonconvergence_draw_counts_redraws(monkeypatch):
-    monkeypatch.setattr(families, "hietarinta_candidates", lambda: (FLAKY,))
-    assert _sequential_elimination(20, 0)["RS"]["redraws"] > 0
-    # the second pass holds only the redraws; its row 0 is the stream's 21st draw
-    _failing_eigenvalues(monkeypatch, 1, 0)
-    with pytest.raises(NonConvergence) as info:
-        run_elimination(samples=20, seed=0)
-    assert info.value.index == 20
-    assert str(info.value).startswith("RS draw 20:")
-
-
-def test_nonconvergence_after_a_redraw_is_not_taken(monkeypatch, generators):
-    # RS's redraws come before R13's draws in the per-draw loop, so a failure
-    # among the first pass's R13 rows concerns draws that are never taken
+    # RS's redraws queue behind R13's draws; each of them, and every R13
+    # draw before them, is really taken and named by its place in its stream
     inventory = {c.name: c for c in hietarinta_candidates()}
     monkeypatch.setattr(
         families, "hietarinta_candidates", lambda: (FLAKY, inventory["R13"])
     )
-    for seed in (0, 1, 11):  # seed 11 draws RS without a redraw
-        monkeypatch.setattr(families, "eigenvalues", eigenvalues)
-        want = _sequential_elimination(20, seed)
-        calls = _failing_eigenvalues(monkeypatch, 0, 21)
-        assert bool(want["RS"]["redraws"]) == (seed != 11)
-        if want["RS"]["redraws"]:
-            assert run_elimination(20, seed) == want
-            ref, fused = generators[-2:]
-            assert fused.bit_generator.state == ref.bit_generator.state
-            assert calls[:2] == [40, 20]  # the failing pass, then its RS rows
-        else:
-            with pytest.raises(NonConvergence, match="^R13 draw 1:"):
-                run_elimination(20, seed)
+    for seed in (0, 1):
+        extra = _sequential_elimination(20, seed)["RS"]["redraws"]
+        assert extra > 0
+        for name, draw in [("RS", 20), ("RS", 19 + extra), ("R13", 1), ("R13", 19)]:
+            _poison(monkeypatch, 20, seed, name, draw)
+            for stack in (1, 7, 21, 1024):
+                monkeypatch.setattr(families, "_FILTER_STACK", stack)
+                assert_fails_like_reference(20, seed, name, draw)
+            monkeypatch.setattr(families, "eigenvalues", eigenvalues)
 
 
 # Closed-form spectra of the inventory: R02, R03, R11 and R14 by hand, the

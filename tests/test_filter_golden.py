@@ -1,9 +1,11 @@
 """Seeded `ybe4 filter` reports are pinned byte for byte.
 
-The files under tests/golden/ hold the stdout of the per-draw filter loop
-that the stacked filter replaced (filter_samples1000_seed1.json that of
-the per-candidate stacks, which gave the same reports); any change to a
-draw's verdict, a count or the generator stream shows up here.
+The files under tests/golden/ hold the stdout of earlier filter loops (the
+per-draw loop, and per-candidate stacks for filter_samples1000_seed1.json).
+None of these runs redraws, and without a redraw every loop since, up to
+the first-in-first-out stacked passes, takes the same draws in the same
+order; any change to a draw's verdict, a count or the generator stream
+shows up here.
 """
 
 from __future__ import annotations

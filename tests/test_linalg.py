@@ -15,6 +15,7 @@ from ybe4.errors import (
     NonFiniteValue,
     SingularMatrix,
 )
+from ybe4.families import hietarinta_candidates
 from ybe4.linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -389,6 +390,36 @@ def test_char_poly_and_eigenvalues_take_stacks():
         eigenvalues(np.ones((2, 3, 4)))
     with pytest.raises(DimensionError):
         as_square(stack)
+
+
+def _char_poly_two_products(A):
+    """Reference: the Faddeev-LeVerrier recursion with A @ M formed twice per
+    step, once for the next M and once for the trace."""
+    n = A.shape[-1]
+    eye = np.eye(n, dtype=complex)
+    coeffs = np.zeros(A.shape[:-2] + (n + 1,), dtype=complex)
+    coeffs[..., 0] = 1.0
+    M = np.zeros_like(A)
+    for k in range(1, n + 1):
+        M = A @ M + coeffs[..., k - 1, None, None] * eye
+        coeffs[..., k] = -np.trace(A @ M, axis1=-2, axis2=-1) / k
+    return coeffs
+
+
+def test_char_poly_one_product_per_step_is_bitwise():
+    rng = np.random.default_rng(47)
+    inputs = [SWAP, stack_of_mixed_spectra()]
+    inputs.append(
+        np.array([c.sample(rng) for c in hietarinta_candidates() for _ in range(5)])
+    )
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        shape = tuple(rng.integers(1, 4, size=rng.integers(0, 3))) + (n, n)
+        scale = 10.0 ** rng.uniform(-5, 5)
+        inputs.append(scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+    for A in inputs:
+        A = np.asarray(A, dtype=complex)
+        assert char_poly(A).tobytes() == _char_poly_two_products(A).tobytes()
 
 
 def test_cluster_merge_takes_subsets_in_combinations_order():
