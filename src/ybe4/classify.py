@@ -41,7 +41,7 @@ from .errors import (
     NotUnitary,
     ZeroState,
 )
-from .families import FamilySpec, family_member
+from .families import FamilySpec, family_member, family_representative
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -273,12 +273,12 @@ class ClassificationResult:
 
 # Entry moduli |X| of every rebuild a stage proposes, in the basis of its C,
 # as k and the parameters are unimodular: _EYE4 for F5 (Q = I, so C is Rb
-# itself) and F1, the anti-diagonal for F3, and the Hadamard-like pattern
-# for F4.
-_ANTI_DIAGONAL = np.fliplr(np.eye(4))
-_HADAMARD_LIKE = np.array(
-    [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]]
-) / np.sqrt(2)
+# itself) and F1, and the moduli of the F3 and F4 base patterns at unit
+# parameters.
+_F3_MODULI = np.abs(
+    family_representative(FamilySpec("F3", np.eye(2), params={"p": 1.0, "q": 1.0}))
+)
+_F4_MODULI = np.abs(family_representative(FamilySpec("F4", np.eye(2))))
 
 # (certificate, C, |X|, message): C is the input in the product basis of the
 # certificate, where its rebuild is X
@@ -368,7 +368,7 @@ def _try_f4(M: np.ndarray, M4: np.ndarray) -> Iterator[_Candidate]:
         w = np.exp(0.5j * (np.angle(C[0, 0]) - np.angle(C[0, 3])))
         k = np.exp(1j * np.angle(C[0, 0]))
         spec = FamilySpec("F4", V @ np.diag([1.0, w]), k)
-        yield spec, C, _HADAMARD_LIKE, "orthogonal pattern via fourth-power structure"
+        yield spec, C, _F4_MODULI, "orthogonal pattern via fourth-power structure"
 
 
 def _try_f3(M: np.ndarray, M2: np.ndarray) -> Iterator[_Candidate]:
@@ -387,7 +387,7 @@ def _try_f3(M: np.ndarray, M2: np.ndarray) -> Iterator[_Candidate]:
         return
     # snap the moduli the family demands; the rebuild check has the last word
     spec = FamilySpec("F3", U, k / abs(k), {"p": p / abs(p), "q": q / abs(q)})
-    yield spec, C, _ANTI_DIAGONAL, "anti-diagonal pattern, Gram-diagonal Q"
+    yield spec, C, _F3_MODULI, "anti-diagonal pattern, Gram-diagonal Q"
 
 
 def _candidates(Rb: np.ndarray) -> Iterator[_Candidate]:

@@ -288,8 +288,6 @@ def _cmd_classify(args) -> tuple[dict, bool]:
 
 
 def _cmd_filter(args) -> tuple[dict, bool]:
-    if args.samples < 1:
-        raise ConstraintViolation(f"--samples must be >= 1, got {args.samples}")
     seed = _seed(args)
     table = run_elimination(samples=args.samples, seed=seed, rel_tol=args.rel_tol)
     eliminated = table.pop("eliminated")

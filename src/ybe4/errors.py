@@ -51,10 +51,11 @@ class SizeExceeded(Ybe4Error):
     """A requested representation would exceed the supported size limit."""
 
 
-class ConstraintViolation(Ybe4Error):
+class ConstraintViolation(Ybe4Error, ValueError):
     """Parameters fail the defining constraints of the requested object.
 
-    Carries the list of human-readable violation descriptions.
+    Carries the list of human-readable violation descriptions.  Also a
+    ValueError, so callers that catch the built-in keep working.
     """
 
     def __init__(self, violations: list[str] | str):

@@ -5,28 +5,28 @@ Every 4x4 unitary solution R_b of the braided equation factors as
     R_b = k (Q (x) Q) R (Q (x) Q)^-1 P
 
 with |k| = 1, Q an invertible 2x2 matrix, P the swap, and R one of five
-base patterns (algebraic-form solutions):
+base patterns (algebraic-form solutions), each a point of Hietarinta's
+inventory of invertible 4x4 solutions (Phys. Lett. A 165, 245, 1992) built
+by that candidate's builder below:
 
-  F1  diag(1, p, q, r) with |p| = |q| = |r| = 1, Q constrained so that the
-      Gram off-diagonal vanishes (c = -a conj(b)/conj(d))
-  F2  the anti-diagonal pattern [[0,0,0,p],[0,0,1,0],[0,1,0,0],[q,0,0,0]]
-      with Q of nonvanishing Gram off-diagonal; p and q are then forced by
-      Q and satisfy p q = 1
-  F3  the same anti-diagonal pattern with Gram-diagonal Q; the moduli
-      |p| = |d|^2/|a|^2 and |q| = |a|^2/|d|^2 are forced but both phases
-      stay free
-  F4  the Hadamard-like orthogonal matrix (1/sqrt2)[[1,0,0,1],[0,1,1,0],
-      [0,1,-1,0],[-1,0,0,1]] with Gram-diagonal Q of equal corner moduli
-      |a| = |d|
-  F5  the swap pattern itself, any invertible Q; the member collapses to
-      k times the identity
+  F1  R31 at leading entry 1, diag(1, p, q, r) with |p| = |q| = |r| = 1;
+      Q with vanishing Gram off-diagonal (c = -a conj(b)/conj(d))
+  F2  R14 at inner entries 1, anti-diagonal with corners p, q; Q with
+      nonvanishing Gram off-diagonal, which forces p and q, and p q = 1
+  F3  R14 again with Gram-diagonal Q; the moduli |p| = |d|^2/|a|^2 and
+      |q| = |a|^2/|d|^2 are forced but both phases stay free
+  F4  R02 / sqrt2, a Hadamard-like orthogonal matrix; Gram-diagonal Q of
+      equal corner moduli |a| = |d|
+  F5  R03, the swap itself; any invertible Q, and the braided member
+      collapses to k times the identity
 
 Whether (Q (x) Q) R (Q (x) Q)^-1 stays unitary is controlled entirely by
 the Gram matrix G = Q^dag Q: with H = G (x) G the member is unitary exactly
 when D = H R^-1 - R^dag H vanishes.  The helpers here expose the Gram data,
-the D matrix, the constrained sampling of Q for each family, and the
-equal-modulus eigenvalue filter that eliminates inventory candidates whose
-spectrum cannot be flattened to a single circle.
+the D matrix, the constrained sampling of Q for each family, the scaled
+case forms of the inventory candidates, and the equal-modulus eigenvalue
+filter that eliminates inventory candidates whose spectrum cannot be
+flattened to a single circle.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConstraintViolation, NonConvergence, SingularMatrix
+from .errors import ConstraintViolation, DimensionError, NonConvergence, SingularMatrix
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -73,6 +73,9 @@ FAMILY_NAMES = ("F1", "F2", "F3", "F4", "F5")
 
 _SWAP = swap_matrix(2)  # read-only; family_representative hands out fresh copies
 
+# np.sqrt(2) once, with the value and type the per-call np.sqrt(2) gave
+_SQRT2 = np.sqrt(2)
+
 
 @dataclass(frozen=True, eq=False)
 class FamilySpec:
@@ -85,10 +88,10 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.family not in FAMILY_NAMES:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ConstraintViolation(f"unknown family {self.family!r}")
         object.__setattr__(self, "Q", np.asarray(self.Q, dtype=complex))
         if self.Q.shape != (2, 2):
-            raise ValueError(f"Q must be 2x2, got {self.Q.shape}")
+            raise DimensionError(f"Q must be 2x2, got {self.Q.shape}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,40 +123,36 @@ def d_matrix(R: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return H @ inverse(np.asarray(R, dtype=complex)) - dagger(R) @ H
 
 
-def _antidiag_pattern(p: complex, q: complex) -> np.ndarray:
-    return np.array(
-        [[0, 0, 0, p], [0, 0, 1, 0], [0, 1, 0, 0], [q, 0, 0, 0]], dtype=complex
-    )
-
-
-def _hadamard_like() -> np.ndarray:
-    return np.array(
-        [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [-1, 0, 0, 1]], dtype=complex
-    ) / np.sqrt(2)
-
-
 def f2_params(Q: np.ndarray) -> tuple[complex, complex]:
     """The (p, q) forced on the F2 anti-diagonal pattern by Q; p q = 1 exactly."""
+    return _f2_params(Q, DEFAULT_TOL)
+
+
+def _f2_params(Q: np.ndarray, tol: Tolerance) -> tuple[complex, complex]:
     _, x, y, z = _gram_entries(np.asarray(Q, dtype=complex))
-    if abs(z) <= DEFAULT_TOL.singular_tol * (x + y):
+    if abs(z) <= tol.singular_tol * (x + y):
         raise ConstraintViolation("F2 needs a Q with nonvanishing Gram off-diagonal")
     p = y * np.conj(z) / (x * z)
     return p, 1.0 / p
 
 
 def family_representative(spec: FamilySpec) -> np.ndarray:
-    """The base algebraic-form pattern R for this spec."""
+    """The base algebraic-form pattern R for this spec, from its inventory builder."""
+    return _representative(spec, DEFAULT_TOL)
+
+
+def _representative(spec: FamilySpec, tol: Tolerance) -> np.ndarray:
+    """family_representative, with F2's Gram off-diagonal tested against tol."""
     fam, pa = spec.family, spec.params
     if fam == "F1":
-        return np.diag([1.0, pa["p"], pa["q"], pa["r"]]).astype(complex)
+        return _r31(1.0, pa["p"], pa["q"], pa["r"])
     if fam == "F2":
-        p, q = f2_params(spec.Q)
-        return _antidiag_pattern(p, q)
+        return _r14(*_f2_params(spec.Q, tol), 1.0)
     if fam == "F3":
-        return _antidiag_pattern(pa["p"], pa["q"])
+        return _r14(pa["p"], pa["q"], 1.0)
     if fam == "F4":
-        return _hadamard_like()
-    return swap_matrix(2)
+        return _r02() / _SQRT2
+    return swap_matrix()
 
 
 def validate_spec(spec: FamilySpec, tol: Tolerance = DEFAULT_TOL) -> list[str]:
@@ -235,19 +234,15 @@ def family_member(
     which is exactly when the result would fail to be unitary.
     """
     if form not in ("braided", "algebraic"):
-        raise ValueError(f"unknown form {form!r}")
+        raise ConstraintViolation(f"unknown form {form!r}")
     violations, Qinv = _check_spec(spec, tol)
     if violations:
         raise ConstraintViolation(violations)
-    R = family_representative(spec)
+    R = _representative(spec, tol)
     M = spec.k * kron(spec.Q, spec.Q) @ R @ kron(Qinv, Qinv)
     if form == "braided":
         M = M @ _SWAP
     return M
-
-
-# np.sqrt(2) once, with the value and type the per-draw call gave
-_SQRT2 = np.sqrt(2)
 
 
 def _crand(rng: np.random.Generator):
@@ -326,7 +321,7 @@ def random_family_spec(family: str, rng: np.random.Generator) -> FamilySpec:
         return FamilySpec("F4", _sample_q_equal_corners(rng), k)
     if family == "F5":
         return FamilySpec("F5", _sample_q_invertible(rng), k)
-    raise ValueError(f"unknown family {family!r}")
+    raise ConstraintViolation(f"unknown family {family!r}")
 
 
 def eigenvalue_filter(M: np.ndarray, rel_tol: float = 1e-6) -> bool:
@@ -359,8 +354,9 @@ def _filter_verdicts(M: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndar
 class CandidateRep:
     """A candidate invertible solution from the classical 4x4 inventory.
 
-    sampling maps each parameter to 'unit' (a random phase) or 'generic'
-    (a random complex gaussian); build produces the matrix.
+    sampling maps each of build's parameters, in build's order, to 'unit'
+    (a random phase) or 'generic' (a random complex gaussian); build
+    produces the matrix.
     """
 
     name: str
@@ -457,7 +453,7 @@ def hietarinta_candidates() -> tuple[CandidateRep, ...]:
     return (
         CandidateRep("R01", {}, _r01),
         CandidateRep("R02", {}, _r02),
-        CandidateRep("R03", {}, lambda: swap_matrix(2)),
+        CandidateRep("R03", {}, swap_matrix),
         CandidateRep("R11", {"p": "generic", "q": "generic"}, _r11),
         CandidateRep("R12", {"p": "unit", "q": "unit", "k": "generic"}, _r12),
         CandidateRep("R13", {"k": "generic", "p": "generic", "q": "generic"}, _r13),
@@ -471,29 +467,29 @@ def hietarinta_candidates() -> tuple[CandidateRep, ...]:
     )
 
 
-_CASE_BUILDERS: dict[str, Callable[..., np.ndarray]] = {
-    "R12": lambda p, q, k, s: _r12(1.0, q, k),
-    "R13": lambda p, q, k, s: _r13(1.0, p, q),
-    "R21": lambda p, q, k, s: _r21(1.0, p, q),
-    "R22": lambda p, q, k, s: _r22(1.0, p, q),
-    "R23": lambda p, q, k, s: _r23(1.0, p, q, s),
-    "R31": lambda p, q, k, s: _r31(1.0, p, q, k),
-}
+_CASE_FORMS = ("R12", "R13", "R21", "R22", "R23", "R31")
 
 
 def case_matrix(name: str, **params: complex) -> np.ndarray:
     """Scaled one-parameter-removed forms used in the per-candidate case analysis.
 
     Each candidate that survives the eigenvalue filter is normalized by its
-    leading entry before the Gram condition D = 0 is examined entry by entry;
-    these are those normalized forms: the inventory builder with its leading
-    parameter set to 1, every other parameter defaulting to 1.
+    leading entry before the Gram condition D = 0 is examined entry by entry.
+    The form of R12, R13, R21, R22, R23 or R31 is that candidate's own
+    builder with its leading parameter set to 1; the keywords are the
+    builder's other parameters, each defaulting to 1.  Another name or
+    keyword raises ConstraintViolation.
     """
-    if name not in _CASE_BUILDERS:
-        raise ValueError(f"no scaled case form for {name!r}")
-    return _CASE_BUILDERS[name](
-        *(params.get(key, 1.0) for key in ("p", "q", "k", "s"))
-    )
+    if name not in _CASE_FORMS:
+        raise ConstraintViolation(f"no scaled case form for {name!r}")
+    cand = next(c for c in hietarinta_candidates() if c.name == name)
+    lead, *rest = cand.sampling  # the builder's parameters, in order
+    unknown = sorted(set(params) - set(rest))
+    if unknown:
+        raise ConstraintViolation(
+            f"case form {name} takes only {', '.join(rest)}, got {', '.join(unknown)}"
+        )
+    return cand.build(**{lead: 1.0}, **{key: params.get(key, 1.0) for key in rest})
 
 
 # Most draws checked in one stacked eigenvalues call; bounds the memory of a

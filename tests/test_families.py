@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from collections import deque
 
 import numpy as np
@@ -9,7 +10,13 @@ import pytest
 
 from ybe4 import families
 from ybe4.core import algebraic_residual, braided_residual, swap_matrix
-from ybe4.errors import ConstraintViolation, NonConvergence, SingularMatrix
+from ybe4.classify import _F3_MODULI, _F4_MODULI
+from ybe4.errors import (
+    ConstraintViolation,
+    DimensionError,
+    NonConvergence,
+    SingularMatrix,
+)
 from ybe4.families import (
     FAMILY_NAMES,
     CandidateRep,
@@ -85,6 +92,90 @@ def test_f2_params_forced_by_shear():
 def test_f2_params_require_gram_off_diagonal():
     with pytest.raises(ConstraintViolation):
         f2_params(np.eye(2))
+
+
+def test_family_spec_errors_are_typed():
+    with pytest.raises(ConstraintViolation, match="unknown family"):
+        FamilySpec("F9", np.eye(2))
+    with pytest.raises(DimensionError, match="2x2"):
+        FamilySpec("F1", np.eye(3))
+    with pytest.raises(ConstraintViolation, match="unknown form"):
+        family_member(FamilySpec("F5", np.eye(2)), form="diagonal")
+    with pytest.raises(ConstraintViolation, match="unknown family"):
+        random_family_spec("F7", np.random.default_rng(0))
+    with pytest.raises(ConstraintViolation, match="R99"):
+        case_matrix("R99")
+    # still the built-in, for callers that catch it
+    assert issubclass(ConstraintViolation, ValueError)
+
+
+def test_f2_member_honours_the_callers_singular_tol():
+    # |z| = 1e-7 of a Gram trace of 2 sits between 1e-9 and the default 1e-6
+    Q = np.array([[1, 1e-7], [0, 1]], dtype=complex)
+    spec = FamilySpec("F2", Q)
+    tol = Tolerance(singular_tol=1e-9)
+    assert validate_spec(spec, tol) == []
+    M = family_member(spec, tol=tol)
+    ok, defect = is_unitary(M)
+    assert ok, f"unitarity defect {defect:.2e}"
+    assert braided_residual(M) < 1e-12
+    # the default tolerance still refuses it, in both entry points
+    assert validate_spec(spec) != []
+    with pytest.raises(ConstraintViolation):
+        family_member(spec)
+
+
+def _inventory_point(spec):
+    """(inventory name, builder arguments, scale) of the spec's base pattern."""
+    pa = spec.params
+    if spec.family == "F1":
+        return "R31", (1.0, pa["p"], pa["q"], pa["r"]), None
+    if spec.family == "F2":
+        return "R14", (*f2_params(spec.Q), 1.0), None
+    if spec.family == "F3":
+        return "R14", (pa["p"], pa["q"], 1.0), None
+    if spec.family == "F4":
+        return "R02", (), np.sqrt(2)
+    return "R03", (), None
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_family_patterns_are_inventory_points(family):
+    inventory = {cand.name: cand for cand in hietarinta_candidates()}
+    rng = np.random.default_rng(83)
+    for _ in range(50):
+        spec = random_family_spec(family, rng)
+        name, args, scale = _inventory_point(spec)
+        want = inventory[name].build(*args)
+        if scale is not None:
+            want = want / scale
+        got = family_representative(spec)
+        # bitwise: same dtype, and the same bytes, sign bits of zeros included
+        assert got.dtype == want.dtype == complex
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_classify_moduli_are_the_pattern_moduli():
+    # F3 at unit p, q is R14 at unit arguments, F4 is R02 / sqrt2
+    f3_moduli = np.abs(families._r14(1.0, 1.0, 1.0))
+    f4_moduli = np.abs(families._r02() / np.sqrt(2))
+    assert np.array_equal(_F3_MODULI, f3_moduli)
+    assert np.array_equal(_F4_MODULI, f4_moduli)
+    # the literal patterns they replaced
+    assert np.array_equal(f3_moduli, np.fliplr(np.eye(4)))
+    assert np.array_equal(
+        f4_moduli,
+        np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]]) / np.sqrt(2),
+    )
+
+
+def test_candidate_sampling_lists_the_builder_parameters():
+    # case_matrix reads the leading parameter off sampling's first key
+    for cand in hietarinta_candidates():
+        params = list(inspect.signature(cand.build).parameters)
+        if cand.name == "R03":
+            params = []  # swap_matrix's dimension d keeps its default
+        assert list(cand.sampling) == params, cand.name
 
 
 def test_identity_spec_members():
@@ -367,6 +458,31 @@ def test_case_formula_unipotent():
 def test_case_matrix_unknown_name():
     with pytest.raises(ValueError):
         case_matrix("R99")
+
+
+@pytest.mark.parametrize(
+    "name, lead, rest",
+    [
+        ("R12", "p", ("q", "k")),
+        ("R13", "k", ("p", "q")),
+        ("R21", "k", ("p", "q")),
+        ("R22", "k", ("p", "q")),
+        ("R23", "k", ("p", "q", "s")),
+        ("R31", "k", ("p", "q", "s")),
+    ],
+)
+def test_case_matrix_is_the_builder_with_leading_parameter_one(name, lead, rest):
+    build = {cand.name: cand.build for cand in hietarinta_candidates()}[name]
+    rng = np.random.default_rng(89)
+    values = dict(zip(rest, rng.normal(size=len(rest)) + 1j * rng.normal(size=len(rest))))
+    want = build(**{lead: 1.0}, **values)
+    assert case_matrix(name, **values).tobytes() == want.tobytes()
+    # omitted keywords default to 1
+    assert np.array_equal(case_matrix(name), build(**{key: 1.0 for key in (lead, *rest)}))
+    # the leading parameter and misspelt keys are refused, not ignored
+    for bad in (lead, "x"):
+        with pytest.raises(ConstraintViolation, match=f"got {bad}$"):
+            case_matrix(name, **{bad: 2.0})
 
 
 def test_all_inventory_candidates_solve_algebraic_equation():
