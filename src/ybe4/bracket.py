@@ -26,7 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolation, DegenerateParameter, PreconditionFailed
+from .errors import (
+    ConstraintViolation,
+    DegenerateParameter,
+    DimensionError,
+    PreconditionFailed,
+)
 from .linalg import DEFAULT_TOL, Tolerance, frobenius, inverse, kron
 
 __all__ = [
@@ -65,7 +70,7 @@ def odot(N: np.ndarray, K: np.ndarray) -> np.ndarray:
     N = np.asarray(N, dtype=complex)
     K = np.asarray(K, dtype=complex)
     if N.shape != K.shape or N.ndim != 2 or N.shape[0] != N.shape[1]:
-        raise ValueError("odot needs two square matrices of the same size")
+        raise DimensionError("odot needs two square matrices of the same size")
     return np.outer(N.reshape(-1), K.reshape(-1))
 
 

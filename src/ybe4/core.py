@@ -22,10 +22,10 @@ e_a (x) e_b in the image of e_i (x) e_j, i.e. upper indices label rows.
 
 Operators on tensor powers are built on their tensor axes instead of by
 dense products: R13 is R12 with the second and third tensor slots
-permuted, and braid_rep applies each letter to the two strand axes it acts
-on, letters * d^(2n+2) multiply-adds for a word on n strands instead of
-letters * d^(3n).  The image still has d^(2n) entries, so braid_rep keeps
-its cap of 6 strands by default.
+permuted, and braid_rep applies each letter as one matrix product on the
+two strand axes it acts on, letters * d^(2n+2) multiply-adds for a word on
+n strands instead of letters * d^(3n).  The image still has d^(2n)
+entries, so braid_rep keeps its cap of 6 strands by default.
 """
 
 from __future__ import annotations
@@ -34,7 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteValue, SingularMatrix, SizeExceeded
+from .errors import (
+    ConstraintViolation,
+    DimensionError,
+    NonFiniteValue,
+    SingularMatrix,
+    SizeExceeded,
+)
 from .linalg import DEFAULT_TOL, Tolerance, as_square, frobenius, inverse, kron
 
 __all__ = [
@@ -120,11 +126,13 @@ def solution_check(
     so both sides round at the size of max|R|**3; that is 1 or less for a
     unitary R, whose bound is residual_tol itself.  c R solves the equation
     whenever R does and its residual grows like c**3, so the bound grows
-    with it above unit size.  Raises ValueError for an unknown form and
-    NonFiniteValue when the bound or the residual overflows.
+    with it above unit size.  Raises ConstraintViolation for an unknown
+    form and NonFiniteValue when the bound or the residual overflows.
     """
     if form not in _RESIDUALS:
-        raise ValueError(f"unknown form {form!r}, expected 'braided' or 'algebraic'")
+        raise ConstraintViolation(
+            f"unknown form {form!r}, expected 'braided' or 'algebraic'"
+        )
     R = as_square(R)
     scale = np.abs(R).max()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -172,7 +180,9 @@ def contraction_residual(R: np.ndarray, form: str = "braided") -> float:
     R = as_square(R)
     d = _split_dim(R)
     if form not in _CONTRACTIONS:
-        raise ValueError(f"unknown form {form!r}, expected 'braided' or 'algebraic'")
+        raise ConstraintViolation(
+            f"unknown form {form!r}, expected 'braided' or 'algebraic'"
+        )
     T = R.reshape(d, d, d, d)
     lhs, rhs = (np.einsum(spec, T, T, T) for spec in _CONTRACTIONS[form])
     return frobenius(lhs - rhs)
@@ -199,25 +209,26 @@ class BraidWord:
 
     def __post_init__(self):
         if self.n_strands < 2:
-            raise ValueError("a braid needs at least 2 strands")
+            raise ConstraintViolation("a braid needs at least 2 strands")
         for idx, exp in self.letters:
             if not 1 <= idx <= self.n_strands - 1:
-                raise ValueError(
+                raise ConstraintViolation(
                     f"generator index {idx} out of range for {self.n_strands} strands"
                 )
             if exp not in (-1, 1):
-                raise ValueError(f"exponent must be +1 or -1, got {exp}")
+                raise ConstraintViolation(f"exponent must be +1 or -1, got {exp}")
 
 
 def braid_rep(R: np.ndarray, word: BraidWord, max_strands: int = 6) -> np.ndarray:
     """Image of a braid word when generator i maps to I^(i-1) (x) R (x) I^(n-1-i).
 
-    The image is kept as a tensor with one row axis of size d^n and one
-    column axis per strand; each letter contracts the two strand axes it
-    acts on with R (or R^-1) as a (d, d, d, d) tensor, d^(2n+2)
-    multiply-adds, and no d^n x d^n generator is built.  The result still
-    has d^n x d^n entries, so n is capped at ``max_strands``.  Inverse
-    letters require R to be invertible.
+    The image is kept transposed, its d^n rows split as one axis per strand
+    and then the d^n columns.  A letter on strands i, i+1 is then one
+    matrix product: the image viewed as (d^(i-1), d^2, rest) is multiplied
+    on the left by the transpose of R (or R^-1), d^(2n+2) multiply-adds,
+    and no d^n x d^n generator is built.  The result still has d^n x d^n
+    entries, so n is capped at ``max_strands``.  Inverse letters require R
+    to be invertible.
     """
     R = as_square(R)
     d = _split_dim(R)
@@ -227,7 +238,7 @@ def braid_rep(R: np.ndarray, word: BraidWord, max_strands: int = 6) -> np.ndarra
             f"{n} strands needs a {d ** n} dimensional space (cap: {max_strands} strands)"
         )
     dim = d ** n
-    out = np.eye(dim, dtype=complex).reshape((dim,) + (d,) * n)
+    out = np.eye(dim, dtype=complex)
     Rinv: np.ndarray | None = None
     for idx, exp in word.letters:
         if exp == 1:
@@ -243,7 +254,6 @@ def braid_rep(R: np.ndarray, word: BraidWord, max_strands: int = 6) -> np.ndarra
                         bound=err.bound,
                     ) from err
             block = Rinv
-        # column axes idx, idx+1 hold strands idx, idx+1 (1-based)
-        out = np.tensordot(out, block.reshape(d, d, d, d), axes=((idx, idx + 1), (0, 1)))
-        out = np.moveaxis(out, (-2, -1), (idx, idx + 1))
-    return out.reshape(dim, dim)
+        # the middle axis holds strands idx, idx+1 (1-based)
+        out = np.matmul(block.T, out.reshape(d ** (idx - 1), d * d, -1))
+    return out.reshape(dim, dim).T

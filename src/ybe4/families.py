@@ -137,8 +137,14 @@ def _f2_params(Q: np.ndarray, tol: Tolerance) -> tuple[complex, complex]:
 
 
 def family_representative(spec: FamilySpec) -> np.ndarray:
-    """The base algebraic-form pattern R for this spec, from its inventory builder."""
-    return _representative(spec, DEFAULT_TOL)
+    """The base algebraic-form pattern R for this spec, from its inventory builder.
+
+    Raises ConstraintViolation when an F1 or F3 spec lacks a parameter.
+    """
+    try:
+        return _representative(spec, DEFAULT_TOL)
+    except KeyError as err:
+        raise ConstraintViolation(f"{spec.family} needs parameter {err.args[0]}") from None
 
 
 def _representative(spec: FamilySpec, tol: Tolerance) -> np.ndarray:

@@ -15,7 +15,12 @@ from ybe4.bracket import (
     unitary_bracket_family,
 )
 from ybe4.core import braided_residual
-from ybe4.errors import ConstraintViolation, DegenerateParameter, PreconditionFailed
+from ybe4.errors import (
+    ConstraintViolation,
+    DegenerateParameter,
+    DimensionError,
+    PreconditionFailed,
+)
 from ybe4.linalg import frobenius, inverse, is_unitary, kron
 
 I2 = np.eye(2, dtype=complex)
@@ -68,6 +73,13 @@ def test_odot_layout_rows_from_first_factor():
 def test_odot_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         odot(I2, np.eye(3))
+
+
+def test_odot_shape_error_is_typed():
+    cases = ((I2, np.eye(3)), (np.ones((2, 3)), np.ones((2, 3))), (np.ones(4), np.ones(4)))
+    for N, K in cases:
+        with pytest.raises(DimensionError):
+            odot(N, K)
 
 
 def test_loop_value_examples():

@@ -20,6 +20,8 @@ MATRIX_FILES = {
     "2x2": (3, 3),
     "huge": (2, 5),
     "missing": (2, 2),
+    "bigint": (2, 2),
+    "bool": (2, 2),
 }
 
 
@@ -37,6 +39,10 @@ def write_case(tmp_path, name):
         write_matrix_file(str(path), np.eye(2), {})
     elif name == "huge":
         write_matrix_file(str(path), np.full((4, 4), 1e300), {})
+    elif name in ("bigint", "bool"):
+        # one 1x1 entry that json reads as a Python int or bool, not a float
+        value = "1" + "0" * 400 if name == "bigint" else "true"
+        path.write_text(f'{{"version": "1", "dim": 1, "rows": [[[{value}, 0]]]}}')
     return str(path)
 
 

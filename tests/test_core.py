@@ -16,9 +16,10 @@ from ybe4.core import (
     contraction_residual,
     is_algebraic_solution,
     is_braided_solution,
+    solution_check,
     swap_matrix,
 )
-from ybe4.errors import DimensionError, SingularMatrix, SizeExceeded
+from ybe4.errors import ConstraintViolation, DimensionError, SingularMatrix, SizeExceeded
 from ybe4.families import FAMILY_NAMES, family_member, random_family_spec
 from ybe4.linalg import frobenius, inverse
 
@@ -157,6 +158,16 @@ def test_braid_word_validation():
         BraidWord(3, ((1, 2),))
 
 
+def test_construction_errors_are_typed():
+    for n, letters in ((1, ()), (3, ((3, 1),)), (3, ((1, 2),))):
+        with pytest.raises(ConstraintViolation):
+            BraidWord(n, letters)
+    with pytest.raises(ConstraintViolation, match="unknown form"):
+        solution_check(SWAP, "twisted")
+    with pytest.raises(ConstraintViolation, match="unknown form"):
+        contraction_residual(SWAP, "twisted")
+
+
 def test_braid_rep_empty_word_and_single_letter():
     assert np.array_equal(braid_rep(HADA, BraidWord(2)), np.eye(4))
     assert np.allclose(braid_rep(HADA, BraidWord(2, ((1, 1),))), HADA)
@@ -251,6 +262,47 @@ def test_braid_rep_matches_dense_route(case):
             want = dense_braid_rep(R, word)
             bound = 1e-14 * max(1.0, np.abs(R).max()) ** length
             assert np.abs(got - want).max() <= bound, (n, word.letters)
+
+
+def tensordot_braid_rep(R, word):
+    """The earlier route: contract each letter into the image's strand axes."""
+    d = round(R.shape[0] ** 0.5)
+    n = word.n_strands
+    dim = d ** n
+    out = np.eye(dim, dtype=complex).reshape((dim,) + (d,) * n)
+    for idx, exp in word.letters:
+        block = R if exp == 1 else inverse(R)
+        out = np.tensordot(out, block.reshape(d, d, d, d), axes=((idx, idx + 1), (0, 1)))
+        out = np.moveaxis(out, (-2, -1), (idx, idx + 1))
+    return out.reshape(dim, dim)
+
+
+def test_braid_rep_bitwise_equals_tensordot_route_dim2():
+    # both routes sum the same four products per entry in the same order
+    rng = np.random.default_rng(31)
+    ops = [
+        family_member(random_family_spec(family, rng), form)
+        for family in FAMILY_NAMES
+        for form in ("braided", "algebraic")
+    ]
+    ops += [ops[k] + 0.3 * crand(rng, (4, 4)) for k in (0, 5)]
+    for R in ops:
+        for n in range(2, 7):
+            for length in (1, 3):
+                word = random_word(rng, n, length)
+                got = braid_rep(R, word)
+                assert np.array_equal(got, tensordot_braid_rep(R, word)), (n, word)
+
+
+def test_braid_rep_matches_tensordot_route_dim3():
+    # nine products per entry, which BLAS may sum in another order
+    rng = np.random.default_rng(32)
+    for R in (random_unitary(rng, 9), 2.0 * crand(rng, (9, 9))):
+        for n in range(2, 7):
+            word = random_word(rng, n, 2 if n < 6 else 1)
+            got = braid_rep(R, word)
+            want = tensordot_braid_rep(R, word)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (n, word)
 
 
 @pytest.mark.parametrize("d", [2, 3])

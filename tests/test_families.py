@@ -81,6 +81,18 @@ def test_representatives_have_the_right_shape():
     assert np.array_equal(family_member(FamilySpec("F5", np.eye(2))), np.eye(4))
 
 
+def test_representative_missing_parameter_is_typed():
+    # validate_spec's wording, not a bare KeyError
+    with pytest.raises(ConstraintViolation, match="F1 needs parameter p"):
+        family_representative(FamilySpec("F1", np.eye(2)))
+    with pytest.raises(ConstraintViolation, match="F1 needs parameter r"):
+        family_representative(FamilySpec("F1", np.eye(2), params={"p": 1, "q": 1}))
+    with pytest.raises(ConstraintViolation, match="F3 needs parameter q"):
+        family_representative(FamilySpec("F3", np.eye(2), params={"p": 1}))
+    spec = FamilySpec("F3", np.eye(2), params={"p": 1})
+    assert "F3 needs parameter q" in validate_spec(spec)
+
+
 def test_f2_params_forced_by_shear():
     Q = np.array([[1, 1], [0, 1]], dtype=complex)
     p, q = f2_params(Q)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ybe4.errors import ParseError
+from ybe4.errors import DimensionError, ParseError
 from ybe4.matrixio import (
     matrix_payload,
     payload_matrix,
@@ -96,3 +96,69 @@ def test_rejects_non_object(tmp_path):
 def test_rejects_nonsquare():
     with pytest.raises(ValueError):
         matrix_payload(np.ones((2, 3)))
+
+
+def test_nonsquare_is_a_dimension_error(tmp_path):
+    with pytest.raises(DimensionError):
+        matrix_payload(np.ones((2, 3)))
+    with pytest.raises(DimensionError):
+        write_matrix_file(str(tmp_path / "m.json"), np.ones(4))
+
+
+def test_integer_entries_read_as_floats_unless_out_of_range():
+    M = rows_to_matrix([[[1, -2]]])
+    assert M[0, 0] == complex(1.0, -2.0)
+    with pytest.raises(ParseError, match="float range"):
+        rows_to_matrix([[[10 ** 400, 0]]])
+    with pytest.raises(ParseError, match="float range"):
+        rows_to_matrix([[[0.0, -(10 ** 309)]]])
+
+
+def test_rejects_boolean_entries_and_dim():
+    for entry in ([True, 0.0], [0.0, False]):
+        with pytest.raises(ParseError):
+            rows_to_matrix([[entry]])
+    payload = matrix_payload(np.eye(1))
+    payload["dim"] = True
+    with pytest.raises(ParseError):
+        payload_matrix(payload)
+
+
+SPECIAL_VALUES = (0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -2.5e-310)
+METADATA = (
+    None,
+    {},
+    {"name": "item_3", "family": "F2"},
+    {"name": 'a "quoted"\nline é', "nested": {"z": [1, 2.5, None], "a": {}}, "b": []},
+)
+
+
+def random_entries(rng, dim):
+    """Complex entries mixing exponents up to +-300 with special values."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return np.zeros((dim, dim), dtype=complex)
+    mant = rng.normal(size=(2, dim, dim))
+    if kind == 1:
+        exps = rng.integers(-300, 301, size=(2, dim, dim))
+    else:
+        exps = rng.integers(-3, 4)
+    parts = mant * 10.0 ** exps
+    if kind == 3:
+        mask = rng.random(parts.shape) < 0.3
+        parts[mask] = rng.choice(SPECIAL_VALUES, size=int(mask.sum()))
+    M = np.empty((dim, dim), dtype=complex)
+    M.real, M.imag = parts
+    return M
+
+
+def test_write_matches_json_dump_bytes(tmp_path):
+    """write_matrix_file writes json.dump(payload, indent=2, sort_keys=True) + newline."""
+    rng = np.random.default_rng(2024)
+    path = tmp_path / "m.json"
+    for case in range(400):
+        M = random_entries(rng, int(rng.integers(0, 10)))
+        metadata = METADATA[case % len(METADATA)]
+        write_matrix_file(str(path), M, metadata)
+        want = json.dumps(matrix_payload(M, metadata), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == want.encode("utf-8"), (case, M.shape, metadata)
