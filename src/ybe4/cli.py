@@ -11,8 +11,10 @@ core.solution_check: residual_tol * max(1, max|M|)**3, which is --res-tol
 itself for a unitary M.
 
 Exit codes: 0 pass, 1 check failed, 2 parse error (or a non-finite value,
-such as a residual that overflows), 3 dimension error, 4 constraint
-violation, 5 not a solution (or not unitary), 6 degenerate parameter.
+such as a residual that overflows, or a matrix file that cannot be read),
+3 dimension error, 4 constraint violation (among them an --out-dir that
+names an existing file or cannot be made), 5 not a solution (or not
+unitary), 6 degenerate parameter.
 """
 
 from __future__ import annotations
@@ -95,6 +97,13 @@ def _digest_bytes(data: bytes) -> str:
 def _digest_file(path: str) -> str:
     with open(path, "rb") as fh:
         return _digest_bytes(fh.read())
+
+
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConstraintViolation(f"cannot make --out-dir {path!r}: {exc.strerror}") from exc
 
 
 def _load_solution_file(path: str, want_dim: int = 4):
@@ -214,7 +223,7 @@ def _cmd_generate(args) -> tuple[dict, bool]:
     tol = args.tol
     rng = np.random.default_rng(seed)
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
+        _make_out_dir(args.out_dir)
     members = []
     checks = []
     for index in range(args.count):
@@ -311,6 +320,8 @@ def _cmd_bracket(args) -> tuple[dict, bool]:
     for name in ("r", "g", "p"):
         _require_finite(f"--{name}", getattr(args, name))
     params = BracketParams(r=args.r, g=args.g, p=args.p)
+    if args.out_dir:
+        _make_out_dir(args.out_dir)
     if args.emit_family:
         red = bracket_to_family(params, tol)
         N, R = red.N, red.R_hat
@@ -343,7 +354,6 @@ def _cmd_bracket(args) -> tuple[dict, bool]:
             "constraint_defects": [float(d) for d in red.constraint_defects],
         }
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
         seed_path = os.path.join(args.out_dir, "bracket_seed.json")
         sol_path = os.path.join(args.out_dir, "bracket_solution.json")
         write_matrix_file(seed_path, N, {"name": "bracket_seed"})

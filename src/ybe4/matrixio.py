@@ -19,6 +19,23 @@ sort_keys=True) gives, plus a newline, byte for byte.  It encodes the rows
 with json's C encoder in one call and lays the numbers out one per line,
 since the pure-Python encoder that indent selects costs far more than the
 file write on a small matrix.
+
+It rewrites an existing file in place: it opens without O_TRUNC, writes
+from offset 0 and then trims a longer regular file to the new length.
+Truncating to zero, as open(path, "w") does, makes ext4 (auto_da_alloc,
+its default) start writeback of the new data at close(), which costs
+several times the write itself on a small file.  The result is what
+open(path, "w") gives: the same inode, an existing file's mode kept, a new
+file created with 0o666 & ~umask, symlinks followed, IsADirectoryError
+for a directory, and os.devnull (not a regular file, so never trimmed)
+accepted.
+
+read_matrix_file maps every failure to read the file (missing, a
+directory, unreadable, not UTF-8) to ParseError.  rows_to_matrix builds
+rows made only of [float, float] pairs in a square layout with one numpy
+conversion and one finiteness check; anything else (integers, booleans,
+a non-finite entry, a wrong shape) goes through the per-entry checks,
+which give each rejection its message.
 """
 
 from __future__ import annotations
@@ -26,6 +43,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -56,7 +75,8 @@ def _is_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def rows_to_matrix(rows: Any) -> np.ndarray:
+def _checked_rows_to_matrix(rows: Any) -> np.ndarray:
+    """rows_to_matrix checking entry by entry; it names the first bad entry."""
     if not isinstance(rows, list) or not rows:
         raise ParseError("rows must be a non-empty list")
     dim = len(rows)
@@ -79,6 +99,21 @@ def rows_to_matrix(rows: Any) -> np.ndarray:
                 raise ParseError(f"entry ({i}, {j}) is not finite")
             out[i, j] = complex(re, im)
     return out
+
+
+def rows_to_matrix(rows: Any) -> np.ndarray:
+    # fast path: dim lists of dim [float, float] lists, every value finite
+    if type(rows) is list and rows:
+        dim = len(rows)
+        if set(map(type, rows)) == {list} and set(map(len, rows)) == {dim}:
+            entries = list(chain.from_iterable(rows))
+            if set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
+                flat = list(chain.from_iterable(entries))
+                # an inf or NaN makes the sum inf or NaN; a sum of finite
+                # values that overflows only sends them to the checked loop
+                if set(map(type, flat)) == {float} and math.isfinite(sum(flat)):
+                    return np.array(flat).view(complex).reshape(dim, dim)
+    return _checked_rows_to_matrix(rows)
 
 
 def matrix_payload(M: np.ndarray, metadata: dict | None = None) -> dict:
@@ -133,7 +168,13 @@ def _rows_text(rows: list) -> str:
 
 
 def write_matrix_file(path: str, M: np.ndarray, metadata: dict | None = None) -> None:
-    """Write the matrix file text of json.dump(payload, indent=2, sort_keys=True)."""
+    """Write the matrix file text of json.dump(payload, indent=2, sort_keys=True).
+
+    An existing file is rewritten in place and trimmed (see the module
+    docstring).  As with open(path, "w"), the write is not atomic: a crash
+    or a failed write can leave a partial file, here possibly with a tail
+    of the old text.
+    """
     payload = matrix_payload(M, metadata)
     fields = [f'"dim": {json.dumps(payload["dim"])}']
     if "metadata" in payload:
@@ -141,18 +182,27 @@ def write_matrix_file(path: str, M: np.ndarray, metadata: dict | None = None) ->
         fields.append('"metadata": ' + block.replace("\n", "\n  "))
     fields.append(f'"rows": {_rows_text(payload["rows"])}')
     fields.append(f'"version": {json.dumps(payload["version"])}')
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{\n  " + ",\n  ".join(fields) + "\n}\n")
+    data = ("{\n  " + ",\n  ".join(fields) + "\n}\n").encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        st = os.fstat(fd)
+        fh.write(data)
+        if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
+            fh.truncate(len(data))
 
 
 def read_matrix_file(path: str) -> tuple[np.ndarray, dict]:
-    if not os.path.exists(path):
-        raise ParseError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    except FileNotFoundError:
+        raise ParseError(f"no such file: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     return payload_matrix(payload)
 
 

@@ -343,6 +343,30 @@ def test_bracket_out_dir(capsys, tmp_path):
     assert N.shape == (2, 2)
 
 
+@pytest.mark.parametrize(
+    "argv, builder",
+    [
+        (("generate", "--family", "1", "--count", "1"), "family_member"),
+        (("bracket", "--r", "0.7"), "unitary_bracket_family"),
+    ],
+)
+def test_out_dir_naming_a_file_is_a_constraint_violation(
+    capsys, tmp_path, monkeypatch, argv, builder
+):
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a member before checking --out-dir")
+
+    monkeypatch.setattr(f"ybe4.cli.{builder}", no_build)
+    code, report, err = run(capsys, *argv, "--out-dir", str(taken))
+    assert code == 4
+    assert report["error"]["type"] == "ConstraintViolation"
+    assert "Traceback" not in err
+    assert taken.read_text() == "keep"
+
+
 def test_usage_error_exits_two(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2

@@ -22,6 +22,8 @@ MATRIX_FILES = {
     "missing": (2, 2),
     "bigint": (2, 2),
     "bool": (2, 2),
+    "directory": (2, 2),
+    "not_utf8": (2, 2),
 }
 
 
@@ -43,6 +45,11 @@ def write_case(tmp_path, name):
         # one 1x1 entry that json reads as a Python int or bool, not a float
         value = "1" + "0" * 400 if name == "bigint" else "true"
         path.write_text(f'{{"version": "1", "dim": 1, "rows": [[[{value}, 0]]]}}')
+    elif name == "directory":
+        path.mkdir()
+    elif name == "not_utf8":
+        # a UTF-16 byte order mark, which no UTF-8 text starts with
+        path.write_bytes(b"\xff\xfe" + '{"version": "1"}'.encode("utf-16-le"))
     return str(path)
 
 

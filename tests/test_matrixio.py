@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from ybe4.errors import DimensionError, ParseError
 from ybe4.matrixio import (
+    _checked_rows_to_matrix,
     matrix_payload,
     payload_matrix,
     read_matrix_file,
@@ -162,3 +164,135 @@ def test_write_matches_json_dump_bytes(tmp_path):
         write_matrix_file(str(path), M, metadata)
         want = json.dumps(matrix_payload(M, metadata), indent=2, sort_keys=True) + "\n"
         assert path.read_bytes() == want.encode("utf-8"), (case, M.shape, metadata)
+
+
+def expected_bytes(M, metadata=None):
+    payload = matrix_payload(M, metadata)
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def test_overwrite_trims_a_longer_file(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_bytes(b"x" * 10_000)
+    write_matrix_file(str(path), np.eye(2), {"name": "short"})
+    assert path.read_bytes() == expected_bytes(np.eye(2), {"name": "short"})
+    # a shorter file is overwritten and extended the same way
+    path.write_bytes(b"{}")
+    write_matrix_file(str(path), np.eye(4))
+    assert path.read_bytes() == expected_bytes(np.eye(4))
+
+
+def test_overwrite_keeps_mode_and_inode(tmp_path):
+    path = tmp_path / "m.json"
+    write_matrix_file(str(path), np.eye(4), {"name": "long" * 50})
+    os.chmod(path, 0o600)
+    before = os.stat(path)
+    write_matrix_file(str(path), np.eye(2))
+    after = os.stat(path)
+    assert after.st_ino == before.st_ino
+    assert after.st_mode == before.st_mode
+    assert path.read_bytes() == expected_bytes(np.eye(2))
+
+
+def test_new_file_mode_follows_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_matrix_file(str(tmp_path / "m.json"), np.eye(2))
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "m.json").st_mode & 0o777 == 0o640
+
+
+def test_write_through_symlink_rewrites_target(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_bytes(b"y" * 5_000)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    write_matrix_file(str(link), np.eye(2))
+    assert link.is_symlink()
+    assert os.readlink(link) == str(target)
+    assert target.read_bytes() == expected_bytes(np.eye(2))
+
+
+def test_write_to_devnull():
+    write_matrix_file(os.devnull, np.eye(4), {"name": "discarded"})
+
+
+def test_directory_path_raises_and_leaves_no_descriptor(tmp_path):
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        with pytest.raises(IsADirectoryError):
+            write_matrix_file(str(tmp_path), np.eye(2))
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+def test_unserialisable_metadata_raises_before_opening(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_bytes(b"old")
+    with pytest.raises(TypeError):
+        write_matrix_file(str(path), np.eye(2), {"bad": object()})
+    assert path.read_bytes() == b"old"
+
+
+def test_unreadable_files_are_parse_errors(tmp_path):
+    with pytest.raises(ParseError, match="no such file"):
+        read_matrix_file(str(tmp_path / "absent.json"))
+    with pytest.raises(ParseError, match="Is a directory"):
+        read_matrix_file(str(tmp_path))
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    with pytest.raises(ParseError, match="not UTF-8"):
+        read_matrix_file(str(path))
+
+
+def outcome(reader, rows):
+    """The matrix bytes a reader returns, or the ParseError message it raises."""
+    try:
+        M = reader(rows)
+    except ParseError as exc:
+        return ("error", str(exc))
+    return ("matrix", M.shape, M.dtype, M.tobytes())
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1.0, -3.0, 2.0 ** 52)
+
+
+def test_fast_rows_match_checked_loop():
+    """Float rows take the one-array path; the bytes equal the per-entry loop's."""
+    rng = np.random.default_rng(24)
+    for case in range(2_000):
+        dim = int(rng.integers(1, 9))
+        parts = rng.normal(size=(dim, dim, 2)) * 10.0 ** rng.integers(-300, 301, size=(dim, dim, 2))
+        if case % 2:
+            mask = rng.random(parts.shape) < 0.4
+            parts[mask] = rng.choice(EDGE_FLOATS, size=int(mask.sum()))
+        rows = parts.tolist()
+        want = outcome(_checked_rows_to_matrix, rows)
+        assert want[0] == "matrix"
+        assert outcome(rows_to_matrix, rows) == want, case
+
+
+BAD_ROWS = {
+    "int": [[[1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, -2]]],
+    "bool": [[[True, 0.0]]],
+    "bigint": [[[0.0, 10 ** 400]]],
+    "nan": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, float("nan")], [1.0, 0.0]]],
+    "inf": [[[float("inf"), 0.0]]],
+    "-inf": [[[0.0, float("-inf")]]],
+    "inf-inf": [[[float("inf"), float("-inf")]]],
+    "overflowing sum": [[[1e308, 1e308]]],
+    "ragged": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
+    "long row": [[[1.0, 0.0], [0.0, 0.0]]],
+    "triple": [[[1.0, 0.0, 0.0]]],
+    "tuple entry": [[(1.0, 0.0)]],
+    "string": [[["1", "0"]]],
+    "empty": [],
+    "not a list": {"rows": 1},
+    "float subclass": [[[np.float64(1.0), 0.0]]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ROWS))
+def test_fast_path_keeps_checked_verdicts(name):
+    rows = BAD_ROWS[name]
+    assert outcome(rows_to_matrix, rows) == outcome(_checked_rows_to_matrix, rows)
