@@ -12,9 +12,10 @@ itself for a unitary M.
 
 Exit codes: 0 pass, 1 check failed, 2 parse error (or a non-finite value,
 such as a residual that overflows, or a matrix file that cannot be read),
-3 dimension error, 4 constraint violation (among them an --out-dir that
-names an existing file or cannot be made), 5 not a solution (or not
-unitary), 6 degenerate parameter.
+3 dimension error, 4 constraint violation (among them a negative seed, and
+an --out-dir that names an existing file, cannot be made or has a target
+path that cannot be written), 5 not a solution (or not unitary), 6
+degenerate parameter.
 """
 
 from __future__ import annotations
@@ -78,7 +79,10 @@ def _default_seed() -> int:
 
 
 def _seed(args) -> int:
-    return args.seed if args.seed is not None else _default_seed()
+    seed = args.seed if args.seed is not None else _default_seed()
+    if seed < 0:
+        raise ConstraintViolation(f"seed must be an integer >= 0, got {seed}")
+    return seed
 
 
 def _tolerance(args) -> Tolerance:
@@ -104,6 +108,13 @@ def _make_out_dir(path: str) -> None:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConstraintViolation(f"cannot make --out-dir {path!r}: {exc.strerror}") from exc
+
+
+def _write_out(path: str, M: np.ndarray, metadata: dict) -> None:
+    try:
+        write_matrix_file(path, M, metadata)
+    except OSError as exc:
+        raise ConstraintViolation(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
 def _load_solution_file(path: str, want_dim: int = 4):
@@ -245,7 +256,7 @@ def _cmd_generate(args) -> tuple[dict, bool]:
         metadata = {"name": f"{family.lower()}_member_{index}", "family": family}
         if args.out_dir:
             path = os.path.join(args.out_dir, f"{family.lower()}_member_{index}.json")
-            write_matrix_file(path, M, metadata)
+            _write_out(path, M, metadata)
             entry["path"] = path
             entry["sha256"] = _digest_file(path)
         else:
@@ -356,8 +367,8 @@ def _cmd_bracket(args) -> tuple[dict, bool]:
     if args.out_dir:
         seed_path = os.path.join(args.out_dir, "bracket_seed.json")
         sol_path = os.path.join(args.out_dir, "bracket_solution.json")
-        write_matrix_file(seed_path, N, {"name": "bracket_seed"})
-        write_matrix_file(sol_path, R, {"name": "bracket_solution"})
+        _write_out(seed_path, N, {"name": "bracket_seed"})
+        _write_out(sol_path, R, {"name": "bracket_solution"})
         payload["paths"] = {"seed": seed_path, "solution": sol_path}
     ok = _all_pass(checks)
     report = _base_report(

@@ -34,6 +34,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -107,8 +108,21 @@ class GramData:
 
 
 def gram(Q: np.ndarray) -> GramData:
-    G, x, y, z = _gram_entries(np.asarray(Q, dtype=complex))
+    """The Gram data of Q.
+
+    Raises DimensionError unless Q is 2x2 and NonFiniteValue unless it is
+    finite.
+    """
+    G, x, y, z = _gram_entries(_as_q(Q))
     return GramData(x=x, y=y, z=z, G=G, H=kron(G, G))
+
+
+def _as_q(Q) -> np.ndarray:
+    """Q as finite 2x2 complex128; DimensionError or NonFiniteValue otherwise."""
+    Q = as_square(Q)
+    if Q.shape != (2, 2):
+        raise DimensionError(f"Q must be 2x2, got {Q.shape}")
+    return Q
 
 
 def _gram_entries(Q: np.ndarray) -> tuple[np.ndarray, float, float, complex]:
@@ -118,14 +132,20 @@ def _gram_entries(Q: np.ndarray) -> tuple[np.ndarray, float, float, complex]:
 
 
 def d_matrix(R: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """D = H R^-1 - R^dag H; zero exactly when (Q(x)Q) R (Q(x)Q)^-1 is unitary."""
+    """D = H R^-1 - R^dag H; zero exactly when (Q(x)Q) R (Q(x)Q)^-1 is unitary.
+
+    Q is checked as in gram.
+    """
     H = gram(Q).H
     return H @ inverse(np.asarray(R, dtype=complex)) - dagger(R) @ H
 
 
 def f2_params(Q: np.ndarray) -> tuple[complex, complex]:
-    """The (p, q) forced on the F2 anti-diagonal pattern by Q; p q = 1 exactly."""
-    return _f2_params(Q, DEFAULT_TOL)
+    """The (p, q) forced on the F2 anti-diagonal pattern by Q; p q = 1 exactly.
+
+    Q is checked as in gram.
+    """
+    return _f2_params(_as_q(Q), DEFAULT_TOL)
 
 
 def _f2_params(Q: np.ndarray, tol: Tolerance) -> tuple[complex, complex]:
@@ -292,7 +312,7 @@ def _sample_q_free(rng: np.random.Generator) -> np.ndarray:
     """Random invertible Q with clearly nonzero Gram off-diagonal."""
     while True:
         Q = _sample_q_invertible(rng)
-        if abs(gram(Q).z) > 0.05:
+        if abs(_gram_entries(Q)[3]) > 0.05:
             return Q
 
 
@@ -361,8 +381,12 @@ class CandidateRep:
     """A candidate invertible solution from the classical 4x4 inventory.
 
     sampling maps each of build's parameters, in build's order, to 'unit'
-    (a random phase) or 'generic' (a random complex gaussian); build
-    produces the matrix.
+    (a random phase, as _unit draws it) or 'generic' (a random complex
+    gaussian, as _crand draws it); build produces the matrix from keyword
+    arguments.  samples(rng, n) draws the parameters of n draws as arrays,
+    and its matrices and the generator's final state are bit for bit those
+    of n rounds of one _unit or _crand call per parameter; sample is its
+    one-draw case.
     """
 
     name: str
@@ -370,11 +394,46 @@ class CandidateRep:
     build: Callable[..., np.ndarray]
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        kwargs = {
-            name: (_unit(rng) if kind == "unit" else _crand(rng))
-            for name, kind in self.sampling.items()
-        }
-        return self.build(**kwargs)
+        return self.samples(rng, 1)[0]
+
+    def samples(self, rng: np.random.Generator, n: int) -> list[np.ndarray]:
+        """n successive draws, each built from Python complex parameters."""
+        names = tuple(self.sampling)
+        return [
+            self.build(**dict(zip(names, row)))
+            for row in _draw_params(tuple(self.sampling.values()), n, rng)
+        ]
+
+
+def _draw_params(
+    kinds: tuple[str, ...], n: int, rng: np.random.Generator
+) -> list[list[complex]]:
+    """n rows of parameters of the given kinds, bit for bit those of n rounds
+    of one _unit or _crand call per kind, and leaving rng in the same state.
+
+    The n x len(kinds) kinds, read row by row, split into maximal runs of
+    one kind, and each run is one generator call: a generator fills an
+    array with the values its scalar calls return one at a time.  The
+    phases and the gaussians are then formed once each.
+    """
+    unit = [i for i, kind in enumerate(kinds) if kind == "unit"]
+    generic = [i for i, kind in enumerate(kinds) if kind != "unit"]
+    uniforms, normals = [], []
+    for kind, run in groupby(kinds * n):
+        size = len(list(run))
+        if kind == "unit":
+            uniforms.append(rng.random(size))  # rng.uniform() is 0 + 1 * this
+        else:
+            normals.append(rng.standard_normal((size, 2)))  # (real, imag) pairs
+    values = np.empty((n, len(kinds)), dtype=complex)
+    if uniforms:
+        values[:, unit] = np.exp(2j * np.pi * np.concatenate(uniforms)).reshape(n, -1)
+    if normals:
+        # each part divided by sqrt 2 on its own, as complex(x + 1j*y) / _SQRT2
+        # does; a complex multiply could round differently
+        pairs = np.concatenate(normals) / _SQRT2
+        values[:, generic] = pairs.view(complex).reshape(n, -1)
+    return values.tolist()
 
 
 def _r01() -> np.ndarray:
@@ -498,6 +557,17 @@ def case_matrix(name: str, **params: complex) -> np.ndarray:
     return cand.build(**{lead: 1.0}, **{key: params.get(key, 1.0) for key in rest})
 
 
+def _integer_at_least(name: str, value, least: int) -> int:
+    """value as an int; ConstraintViolation unless it is an integer >= least."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = least - 1
+    if number < least:
+        raise ConstraintViolation(f"{name} must be an integer >= {least}, got {value!r}")
+    return number
+
+
 # Most draws checked in one stacked eigenvalues call; bounds the memory of a
 # run with many samples.  A run of n draws with no redraw makes
 # ceil(n / _FILTER_STACK) calls, and the draws do not depend on it.
@@ -511,28 +581,26 @@ def run_elimination(
 
     Parameter-free candidates are evaluated once (they never change);
     parametric ones get ``samples`` (an integer >= 1) independent draws,
-    redrawing any whose spectrum degenerates.  Returns per-candidate attempt/pass counts and the
-    list of names whose pass rate falls below 1%.  Every candidate's
+    redrawing any whose spectrum degenerates.  ``seed`` (an integer >= 0)
+    seeds the one generator.  Returns per-candidate attempt/pass counts and
+    the list of names whose pass rate falls below 1%.  Every candidate's
     spectrum is known in closed form, and only R11 can fail: it passes only
     on the measure-zero set |p| = |q|, so its random draws all fail.
 
-    The pending draws form a first-in-first-out queue, each candidate's in
-    inventory order, and a degenerate draw queues one redraw at the back.
-    Each pass takes up to _FILTER_STACK draws from the front, in order from
-    one seeded generator, and checks them with one stacked eigenvalues
-    call, so the draws and counts are those of taking the queue one draw
+    The pending draws form a first-in-first-out queue of runs (candidate,
+    draws), each candidate's in inventory order, and a degenerate draw
+    queues one redraw at the back.  Each pass takes up to _FILTER_STACK
+    draws from the front and checks them with one stacked eigenvalues
+    call.  A run's parameters are drawn as arrays (CandidateRep.samples),
+    with the values and generator state of drawing one parameter at a
+    time, so the draws and counts are those of taking the queue one draw
     at a time.  A NonConvergence names the candidate and the draw, and
     carries as ``index`` the draw's position in that candidate's stream
     (from 0, redraws included).
     """
     check_tolerance("rel_tol", rel_tol)
-    try:
-        count = operator.index(samples)
-    except TypeError:
-        count = 0
-    if count < 1:
-        raise ConstraintViolation(f"samples must be an integer >= 1, got {samples!r}")
-    rng = np.random.default_rng(seed)
+    count = _integer_at_least("samples", samples, 1)
+    rng = np.random.default_rng(_integer_at_least("seed", seed, 0))
     inventory = hietarinta_candidates()
     attempts = [count if cand.sampling else 1 for cand in inventory]
     passes = [0] * len(inventory)
@@ -541,13 +609,15 @@ def run_elimination(
     queue = deque(enumerate(attempts))  # runs of (candidate, draws)
     while queue:
         rows: list[int] = []
+        mats: list[np.ndarray] = []
         while queue and len(rows) < _FILTER_STACK:
             i, left = queue.popleft()
             take = min(left, _FILTER_STACK - len(rows))
             if take < left:
                 queue.appendleft((i, left - take))
             rows += [i] * take
-        stack = np.array([inventory[i].sample(rng) for i in rows])
+            mats += inventory[i].samples(rng, take)
+        stack = np.array(mats)
         try:
             ok, singular = _filter_verdicts(stack, rel_tol)
         except NonConvergence as exc:

@@ -367,6 +367,45 @@ def test_out_dir_naming_a_file_is_a_constraint_violation(
     assert taken.read_text() == "keep"
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (("filter", "--samples", "5", "--seed", "-1"), None),
+        (("generate", "--family", "1", "--seed", "-1"), None),
+        (("filter", "--samples", "5"), "-3"),
+        (("generate", "--family", "2"), "-3"),
+    ],
+)
+def test_negative_seed_is_a_constraint_violation(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("YBE4_SEED", env)
+    code, report, err = run(capsys, *argv)
+    assert code == 4
+    assert report["error"]["type"] == "ConstraintViolation"
+    assert "seed must be an integer >= 0" in report["error"]["message"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (("generate", "--family", "1", "--count", "2"), "f1_member_1.json"),
+        (("bracket", "--r", "0.7"), "bracket_solution.json"),
+    ],
+)
+def test_unwritable_path_under_out_dir_is_a_constraint_violation(
+    capsys, tmp_path, argv, target
+):
+    out = tmp_path / "out"
+    (out / target).mkdir(parents=True)
+    code, report, err = run(capsys, *argv, "--out-dir", str(out))
+    assert code == 4
+    assert report["error"]["type"] == "ConstraintViolation"
+    assert target in report["error"]["message"]
+    assert "Traceback" not in err
+    assert (out / target).is_dir()
+
+
 def test_usage_error_exits_two(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2

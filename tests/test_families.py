@@ -15,6 +15,7 @@ from ybe4.errors import (
     ConstraintViolation,
     DimensionError,
     NonConvergence,
+    NonFiniteValue,
     SingularMatrix,
 )
 from ybe4.families import (
@@ -59,6 +60,25 @@ def test_gram_of_shear():
     assert (g.x, g.y) == (1, 2)
     assert g.z == 1
     assert np.all(np.abs(g.H) > 0)
+
+
+GRAM_HELPERS = [gram, lambda Q: d_matrix(SWAP, Q), f2_params]
+
+
+@pytest.mark.parametrize("Q", [np.eye(3), np.eye(4)[:2], np.ones(2), [[1, 2]]])
+@pytest.mark.parametrize("helper", GRAM_HELPERS, ids=["gram", "d_matrix", "f2_params"])
+def test_gram_helpers_reject_a_q_that_is_not_2x2(helper, Q):
+    with pytest.raises(DimensionError):
+        helper(Q)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+@pytest.mark.parametrize("helper", GRAM_HELPERS, ids=["gram", "d_matrix", "f2_params"])
+def test_gram_helpers_reject_a_non_finite_q(helper, bad):
+    Q = np.array([[1, 0.5], [0, 1]], dtype=complex)
+    Q[0, 1] = bad
+    with pytest.raises(NonFiniteValue):
+        helper(Q)
 
 
 def test_representatives_have_the_right_shape():
@@ -569,6 +589,16 @@ def test_elimination_takes_integer_like_samples():
     assert run_elimination(np.int64(3), seed=2) == run_elimination(3, seed=2)
 
 
+@pytest.mark.parametrize("bad", [-1, -(2**70), 1.5, "3", None])
+def test_elimination_rejects_bad_seed(bad):
+    with pytest.raises(ConstraintViolation, match="seed must be an integer >= 0"):
+        run_elimination(samples=1, seed=bad)
+
+
+def test_elimination_takes_integer_like_seed():
+    assert run_elimination(3, seed=np.int64(2)) == run_elimination(3, seed=2)
+
+
 def test_short_elimination_run_eliminates_exactly_one():
     report = run_elimination(samples=40, seed=5)
     assert report["eliminated"] == ["R11"]
@@ -587,6 +617,51 @@ def test_crand_draws_are_unchanged():
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def _per_parameter_draw(kinds, rng):
+    """One draw of the given kinds, one _unit or _crand call per parameter."""
+    return [families._unit(rng) if k == "unit" else families._crand(rng) for k in kinds]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1024])
+@pytest.mark.parametrize(
+    "cand", [c for c in hietarinta_candidates() if c.sampling], ids=lambda c: c.name
+)
+def test_array_draws_are_the_per_parameter_stream(cand, n):
+    # bit for bit the values, and the generator state, of n successive
+    # rounds of per-parameter draws
+    kinds = tuple(cand.sampling.values())
+    for seed in range(3):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = families._draw_params(kinds, n, rng)
+        want = [_per_parameter_draw(kinds, ref) for _ in range(n)]
+        assert all(type(z) is complex for row in rows for z in row)
+        assert np.array(rows).tobytes() == np.array(want).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # samples builds each row with the candidate's own builder
+        rng = np.random.default_rng(seed)
+        got = np.array(cand.samples(rng, n))
+        built = [cand.build(**dict(zip(cand.sampling, row))) for row in want]
+        assert got.tobytes() == np.array(built).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        if n == 1:
+            rng = np.random.default_rng(seed)
+            assert cand.sample(rng).tobytes() == built[0].tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "kinds", [("unit", "generic", "unit"), ("generic", "unit", "unit", "generic")]
+)
+def test_array_draws_merge_runs_across_draws(kinds):
+    # a draw's last kind is the next draw's first: one call spans both
+    for n in (1, 2, 7):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        rows = families._draw_params(kinds, n, rng)
+        want = [_per_parameter_draw(kinds, ref) for _ in range(n)]
+        assert np.array(rows).tobytes() == np.array(want).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_random_family_spec_unknown_family():
     with pytest.raises(ValueError):
         random_family_spec("F7", np.random.default_rng(0))
@@ -594,8 +669,9 @@ def test_random_family_spec_unknown_family():
 
 def _sequential_elimination(samples, seed, rel_tol=1e-6):
     """Reference: the first-in-first-out draw order, one eigenvalue_filter
-    call per draw.  Each candidate's draws queue up in inventory order, and
-    a degenerate draw queues one redraw at the back."""
+    call per draw, each draw's parameters drawn one at a time.  Each
+    candidate's draws queue up in inventory order, and a degenerate draw
+    queues one redraw at the back."""
     rng = np.random.default_rng(seed)
     inventory = families.hietarinta_candidates()
     attempts = [samples if cand.sampling else 1 for cand in inventory]
@@ -605,7 +681,9 @@ def _sequential_elimination(samples, seed, rel_tol=1e-6):
     queue = deque(i for i, n in enumerate(attempts) for _ in range(n))
     while queue:
         i = queue.popleft()
-        M = inventory[i].sample(rng)
+        cand = inventory[i]
+        params = _per_parameter_draw(cand.sampling.values(), rng)
+        M = cand.build(**dict(zip(cand.sampling, params)))
         try:
             passes[i] += eigenvalue_filter(M, rel_tol)
         except SingularMatrix:
