@@ -32,7 +32,7 @@ from .errors import (
     DimensionError,
     PreconditionFailed,
 )
-from .linalg import DEFAULT_TOL, Tolerance, frobenius, inverse, kron
+from .linalg import DEFAULT_TOL, Tolerance, _numeric, frobenius, inverse, kron
 
 __all__ = [
     "BracketParams",
@@ -67,8 +67,8 @@ class BracketParams:
 
 def odot(N: np.ndarray, K: np.ndarray) -> np.ndarray:
     """Outer product of row-major flattenings: rows follow N entries, columns K's."""
-    N = np.asarray(N, dtype=complex)
-    K = np.asarray(K, dtype=complex)
+    N = _numeric(N)
+    K = _numeric(K)
     if N.shape != K.shape or N.ndim != 2 or N.shape[0] != N.shape[1]:
         raise DimensionError("odot needs two square matrices of the same size")
     return np.outer(N.reshape(-1), K.reshape(-1))
@@ -100,7 +100,7 @@ class SkeinTriple:
 
     @classmethod
     def from_seed(cls, N: np.ndarray) -> "SkeinTriple":
-        N = np.asarray(N, dtype=complex)
+        N = _numeric(N)
         Ninv = inverse(N)
         return cls(N=N, U=odot(N, Ninv), delta=complex(np.sum(N * Ninv)))
 
@@ -149,7 +149,7 @@ def delta_lower_bound(N: np.ndarray) -> tuple[complex, float]:
     delta - n = sum over pairs |N_ij - N_ji|^2, hence Re(delta) >= n.
     Returns (delta, residual of that identity).
     """
-    N = np.asarray(N, dtype=complex)
+    N = _numeric(N)
     n = N.shape[0]
     if frobenius(np.conj(N) @ N - np.eye(n)) > 1e-8:
         raise PreconditionFailed("conj(N) is not the inverse of N")

@@ -46,6 +46,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     _is_unitary,
+    _numeric,
     as_square,
     dagger,
     frobenius,
@@ -75,7 +76,7 @@ class TwoQubitState:
     vec: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.vec, dtype=complex).reshape(-1)
+        v = _numeric(self.vec).ravel()
         if v.shape != (4,):
             raise DimensionError(f"expected 4 amplitudes, got shape {v.shape}")
         top = np.abs(v.view(float)).max()  # of real and imaginary parts

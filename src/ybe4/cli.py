@@ -6,6 +6,12 @@ numbers takes --seed, falling back to the YBE4_SEED environment variable
 and then to 0, so repeated runs are byte-identical.  classify also takes
 --seed and records it in its report; its result does not depend on it.
 
+verify and classify read their matrix file once, and the report's
+inputs.sha256 is the digest of the bytes they parsed; generate --out-dir
+gives each member the digest of the bytes it wrote and never reads the
+file back.  Matrix files hold finite numbers only.  The exit code follows
+the report's verdict.
+
 Every residual check on the equation takes its bound from
 core.solution_check: residual_tol * max(1, max|M|)**3, which is --res-tol
 itself for a unitary M.
@@ -43,10 +49,10 @@ from .errors import (
 from .families import FamilySpec, family_member, random_family_spec, run_elimination
 from .linalg import DEFAULT_TOL, Tolerance, frobenius, is_unitary
 from .matrixio import (
+    _read_matrix_bytes,
     dump_report,
     matrix_payload,
     matrix_to_rows,
-    read_matrix_file,
     write_matrix_file,
 )
 
@@ -94,15 +100,6 @@ def _require_finite(name: str, value) -> None:
         raise ParseError(f"{name} must be a finite number, got {value!r}")
 
 
-def _digest_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _digest_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return _digest_bytes(fh.read())
-
-
 def _make_out_dir(path: str) -> None:
     try:
         os.makedirs(path, exist_ok=True)
@@ -110,29 +107,35 @@ def _make_out_dir(path: str) -> None:
         raise ConstraintViolation(f"cannot make --out-dir {path!r}: {exc.strerror}") from exc
 
 
-def _write_out(path: str, M: np.ndarray, metadata: dict) -> None:
+def _write_out(path: str, M: np.ndarray, metadata: dict) -> bytes:
     try:
-        write_matrix_file(path, M, metadata)
+        return write_matrix_file(path, M, metadata)
     except OSError as exc:
         raise ConstraintViolation(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
 def _load_solution_file(path: str, want_dim: int = 4):
-    M, metadata = read_matrix_file(path)
+    """(M, metadata, inputs record) from one read of a dim x dim matrix file."""
+    M, metadata, data = _read_matrix_bytes(path)
     if M.shape[0] != want_dim:
         raise DimensionError(
             f"{path}: need a {want_dim}x{want_dim} matrix, got {M.shape[0]}x{M.shape[0]}"
         )
-    return M, metadata
+    return M, metadata, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _base_report(command: str, args, **extra) -> dict:
+    """The report fields every command shares, then ``extra``; without a
+    "verdict" in ``extra``, the verdict is "pass" when every check passed."""
     report = {
         "version": REPORT_VERSION,
         "command": command,
         "tolerances": {"eq_tol": args.eq_tol, "residual_tol": args.res_tol},
     }
     report.update(extra)
+    if "verdict" not in report:
+        passed = all(c["verdict"] == "pass" for c in report["checks"])
+        report["verdict"] = "pass" if passed else "fail"
     return report
 
 
@@ -145,13 +148,9 @@ def _check(name: str, residual: float, bound: float) -> dict:
     }
 
 
-def _all_pass(checks) -> bool:
-    return all(c["verdict"] == "pass" for c in checks)
-
-
-def _cmd_verify(args) -> tuple[dict, bool]:
+def _cmd_verify(args) -> dict:
     tol = args.tol
-    M, metadata = _load_solution_file(args.path)
+    M, metadata, inputs = _load_solution_file(args.path)
     forms = ("braided", "algebraic") if args.form == "both" else (args.form,)
     checks = []
     for form in forms:
@@ -169,17 +168,9 @@ def _cmd_verify(args) -> tuple[dict, bool]:
                 1e-12 * max(bound / tol.residual_tol, matrix_res, index_res),
             )
         )
-    ok = _all_pass(checks)
-    report = _base_report(
-        "verify",
-        args,
-        inputs={"path": args.path, "sha256": _digest_file(args.path)},
-        metadata=metadata,
-        form=args.form,
-        checks=checks,
-        verdict="pass" if ok else "fail",
+    return _base_report(
+        "verify", args, inputs=inputs, metadata=metadata, form=args.form, checks=checks
     )
-    return report, ok
 
 
 _EXPLICIT_KEYS = {"F1": ("p", "q", "r"), "F3": ("p", "q")}
@@ -224,7 +215,7 @@ def _spec_payload(spec: FamilySpec) -> dict:
     }
 
 
-def _cmd_generate(args) -> tuple[dict, bool]:
+def _cmd_generate(args) -> dict:
     if not 1 <= args.family <= 5:
         raise ConstraintViolation(f"--family must be 1..5, got {args.family}")
     if args.count < 1:
@@ -235,13 +226,11 @@ def _cmd_generate(args) -> tuple[dict, bool]:
     rng = np.random.default_rng(seed)
     if args.out_dir:
         _make_out_dir(args.out_dir)
+    explicit = None if args.params is None else _explicit_spec(family, args.params)
     members = []
     checks = []
     for index in range(args.count):
-        if args.params is not None:
-            spec = _explicit_spec(family, args.params)
-        else:
-            spec = random_family_spec(family, rng)
+        spec = explicit or random_family_spec(family, rng)
         M = family_member(spec, form=args.form, tol=tol)
         _, defect = is_unitary(M, tol)
         residual, bound = solution_check(M, args.form, tol)
@@ -256,14 +245,12 @@ def _cmd_generate(args) -> tuple[dict, bool]:
         metadata = {"name": f"{family.lower()}_member_{index}", "family": family}
         if args.out_dir:
             path = os.path.join(args.out_dir, f"{family.lower()}_member_{index}.json")
-            _write_out(path, M, metadata)
             entry["path"] = path
-            entry["sha256"] = _digest_file(path)
+            entry["sha256"] = hashlib.sha256(_write_out(path, M, metadata)).hexdigest()
         else:
             entry["matrix"] = matrix_payload(M, metadata)
         members.append(entry)
-    ok = _all_pass(checks)
-    report = _base_report(
+    return _base_report(
         "generate",
         args,
         family=family,
@@ -272,27 +259,24 @@ def _cmd_generate(args) -> tuple[dict, bool]:
         count=args.count,
         members=members,
         checks=checks,
-        verdict="pass" if ok else "fail",
     )
-    return report, ok
 
 
-def _cmd_classify(args) -> tuple[dict, bool]:
+def _cmd_classify(args) -> dict:
     tol = args.tol
-    M, metadata = _load_solution_file(args.path)
+    M, metadata, inputs = _load_solution_file(args.path)
     seed = _seed(args)
     result = classify(M, tol=tol)
     gate = is_entangling_gate(M, witness=True, tol=tol)
-    ok = result.family is not None
-    report = _base_report(
+    return _base_report(
         "classify",
         args,
-        inputs={"path": args.path, "sha256": _digest_file(args.path)},
+        inputs=inputs,
         metadata=metadata,
         seed=seed,
         family=result.family,
         certificate=_spec_payload(result.spec) if result.spec is not None else None,
-        certificate_residual=float(result.residual) if ok else None,
+        certificate_residual=None if result.family is None else float(result.residual),
         message=result.message,
         entangling=gate.entangling,
         witness=None
@@ -302,17 +286,16 @@ def _cmd_classify(args) -> tuple[dict, bool]:
             "input_state": [_pair(z) for z in gate.witness.state.vec],
             "output_pair_determinant": gate.witness.output_pair_determinant,
         },
-        verdict="pass" if ok else "fail",
+        verdict="fail" if result.family is None else "pass",
     )
-    return report, ok
 
 
-def _cmd_filter(args) -> tuple[dict, bool]:
+def _cmd_filter(args) -> dict:
     seed = _seed(args)
     table = run_elimination(samples=args.samples, seed=seed, rel_tol=args.rel_tol)
     eliminated = table.pop("eliminated")
     passing = sorted(name for name in table if name not in eliminated)
-    report = _base_report(
+    return _base_report(
         "filter",
         args,
         samples=args.samples,
@@ -323,10 +306,9 @@ def _cmd_filter(args) -> tuple[dict, bool]:
         eliminated=eliminated,
         verdict="pass",
     )
-    return report, True
 
 
-def _cmd_bracket(args) -> tuple[dict, bool]:
+def _cmd_bracket(args) -> dict:
     tol = args.tol
     for name in ("r", "g", "p"):
         _require_finite(f"--{name}", getattr(args, name))
@@ -370,11 +352,7 @@ def _cmd_bracket(args) -> tuple[dict, bool]:
         _write_out(seed_path, N, {"name": "bracket_seed"})
         _write_out(sol_path, R, {"name": "bracket_solution"})
         payload["paths"] = {"seed": seed_path, "solution": sol_path}
-    ok = _all_pass(checks)
-    report = _base_report(
-        "bracket", args, checks=checks, verdict="pass" if ok else "fail", **payload
-    )
-    return report, ok
+    return _base_report("bracket", args, checks=checks, **payload)
 
 
 def _add_tol_flags(sub: argparse.ArgumentParser) -> None:
@@ -506,7 +484,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.tol = _tolerance(args)
-        report, ok = args.func(args)
+        report = args.func(args)
     except Ybe4Error as exc:
         for err_type, code in _ERROR_EXIT:
             if isinstance(exc, err_type):
@@ -523,7 +501,7 @@ def main(argv=None) -> int:
         return code
     sys.stdout.write(dump_report(report))
     _human_summary(report, sys.stderr)
-    return 0 if ok else 1
+    return 0 if report["verdict"] == "pass" else 1
 
 
 if __name__ == "__main__":

@@ -43,6 +43,7 @@ from .errors import ConstraintViolation, DimensionError, NonConvergence, Singula
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _numeric,
     as_square,
     check_tolerance,
     dagger,
@@ -90,7 +91,7 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILY_NAMES:
             raise ConstraintViolation(f"unknown family {self.family!r}")
-        object.__setattr__(self, "Q", np.asarray(self.Q, dtype=complex))
+        object.__setattr__(self, "Q", _numeric(self.Q))
         if self.Q.shape != (2, 2):
             raise DimensionError(f"Q must be 2x2, got {self.Q.shape}")
 
@@ -137,7 +138,7 @@ def d_matrix(R: np.ndarray, Q: np.ndarray) -> np.ndarray:
     Q is checked as in gram.
     """
     H = gram(Q).H
-    return H @ inverse(np.asarray(R, dtype=complex)) - dagger(R) @ H
+    return H @ inverse(R) - dagger(R) @ H
 
 
 def f2_params(Q: np.ndarray) -> tuple[complex, complex]:

@@ -81,20 +81,35 @@ DEFAULT_TOL = Tolerance()
 def as_square(obj) -> np.ndarray:
     """Coerce to square complex128.
 
-    Raises DimensionError if not square, NonFiniteValue if not finite.
+    Raises ConstraintViolation if not an array of numbers, DimensionError
+    if not square, NonFiniteValue if not finite.
     """
     return _square(obj, stack=False)
 
 
 def _square(obj, stack: bool) -> np.ndarray:
     """as_square, also accepting a stack of shape (..., n, n) when ``stack``."""
-    A = np.asarray(obj, dtype=complex)
+    A = _numeric(obj)
     ndim_ok = A.ndim >= 2 if stack else A.ndim == 2
     if not ndim_ok or A.shape[-2] != A.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise NonFiniteValue("matrix contains non-finite entries")
     return A
+
+
+def _numeric(obj, dtype=complex) -> np.ndarray:
+    """np.asarray(obj, dtype), or ConstraintViolation (a ValueError) for a
+    string, dict or other object that is not an array of numbers.
+    ``dtype=None`` keeps a numeric input's own dtype."""
+    try:
+        A = np.asarray(obj, dtype=dtype)
+    except (TypeError, ValueError):
+        pass
+    else:
+        if A.dtype.kind in "biufc":
+            return A
+    raise ConstraintViolation(f"expected an array of numbers, got {type(obj).__name__}")
 
 
 def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -105,8 +120,8 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     broadcast outer product, so each entry is that single product, bitwise
     as from np.kron; other operand shapes go to np.kron itself.
     """
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
+    A = _numeric(A)
+    B = _numeric(B)
     if A.ndim != 2 or B.ndim != 2:
         return np.kron(A, B)
     (m, n), (p, q) = A.shape, B.shape
@@ -115,12 +130,13 @@ def kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def dagger(A: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
-    return np.asarray(A, dtype=complex).conj().T
+    return _numeric(A).conj().T
 
 
 def frobenius(A: np.ndarray) -> float:
     """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(A)))
+    # a real input stays real: as complex, BLAS sums it in another order
+    return float(np.linalg.norm(_numeric(A, dtype=None)))
 
 
 def inverse(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -254,28 +270,45 @@ def eigenvalues(A: np.ndarray) -> np.ndarray:
     root z must satisfy |p(z)| <= 1e-8 * sum_i |c_i| max(max|A|, |z|)^(n-i)
     for the Faddeev-LeVerrier characteristic polynomial p with coefficients
     c_i; the bound scales like p itself under A -> c*A, so the check is as
-    strict at every scale.  A root that misses raises NonConvergence with
-    the root, its residual and the bound it exceeded.
+    strict at every scale.  The check runs on A and the roots times one
+    exact power of two per matrix, near 1/max|A| and clamped as in
+    ``inverse``, so p and its bound neither overflow nor underflow; in the
+    normal float range every product scales exactly and the check decides
+    as it would on A itself.  The roots returned are LAPACK's, merged.  A
+    root that misses raises NonConvergence with the root, its residual and
+    the bound it exceeded, in A's own units.
 
     A stack of shape (..., n, n) gives roots of shape (..., n), each row
     computed and checked as that matrix alone would be; the error then
     names the first failing matrix in row-major order as ``index``.
     """
     A = _square(A, stack=True)
-    coeffs = char_poly(A)
+    n = A.shape[-1]
     scale = np.abs(A).max(axis=(-2, -1))
     roots = _merge_root_clusters(np.linalg.eigvals(A), scale)
-    residual = np.abs(_horner(coeffs, roots))
-    bound = _horner(np.abs(coeffs), np.maximum(scale[..., None], np.abs(roots)))
-    bad = (residual > 1e-8 * bound).reshape(-1, A.shape[-1])
+    # one exact power of two 2**-e per matrix, e clamped as in inverse
+    e = np.minimum(np.maximum(np.frexp(scale)[1], -1000), 1000)[..., None]
+    factor = np.ldexp(1.0, -e)
+    coeffs = char_poly(A * factor[..., None])
+    unit_roots = roots * factor
+    residual = np.abs(_horner(coeffs, unit_roots))
+    top = np.maximum(scale[..., None] * factor, np.abs(unit_roots))
+    bound = _horner(np.abs(coeffs), top)
+    bad = (residual > 1e-8 * bound).reshape(-1, n)
     if bad.any():
         row = int(np.argmax(bad.any(axis=1)))
         i = int(np.argmax(bad[row]))
-        root, res, lim = (
+        root, res_unit, lim_unit = (
             v.reshape(bad.shape)[row, i]
             for v in (roots, residual, bound)
         )
+        # back in A's units: the scaled p(z) and bound are 2**(-n e) times those
+        with np.errstate(over="ignore"):
+            res, lim = np.ldexp([res_unit, lim_unit], n * int(e.reshape(-1)[row]))
         message = f"root residual {res:.3e} exceeds 1e-8 * {lim:.3e}"
+        if not 0 < lim < math.inf:
+            ratio = res_unit / (1e-8 * lim_unit)
+            message += f" (beyond the float range; {ratio:.3e} times the bound)"
         index = None
         if A.ndim > 2:
             index = row

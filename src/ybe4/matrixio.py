@@ -30,8 +30,14 @@ file created with 0o666 & ~umask, symlinks followed, IsADirectoryError
 for a directory, and os.devnull (not a regular file, so never trimmed)
 accepted.
 
-read_matrix_file maps every failure to read the file (missing, a
-directory, unreadable, not UTF-8) to ParseError.  rows_to_matrix builds
+Matrix files hold finite numbers only: matrix_payload, and so
+write_matrix_file, raises NonFiniteValue for a NaN or infinite entry,
+since JSON has no token for one.  write_matrix_file returns the bytes it
+wrote, so a caller can digest them without reading the file back.
+
+read_matrix_file reads the file's bytes once and decodes them as UTF-8
+itself; it maps every failure to read the file (missing, a directory,
+unreadable, not UTF-8) to ParseError.  rows_to_matrix builds
 rows made only of [float, float] pairs in a square layout with one numpy
 conversion and one finiteness check; anything else (integers, booleans,
 a non-finite entry, a wrong shape) goes through the per-entry checks,
@@ -49,7 +55,8 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DimensionError, ParseError
+from .errors import ParseError
+from .linalg import as_square
 
 __all__ = [
     "MATRIX_FILE_VERSION",
@@ -117,9 +124,8 @@ def rows_to_matrix(rows: Any) -> np.ndarray:
 
 
 def matrix_payload(M: np.ndarray, metadata: dict | None = None) -> dict:
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError("matrix files hold square matrices")
+    """Raises DimensionError unless M is square, NonFiniteValue unless finite."""
+    M = as_square(M)
     payload: dict = {
         "version": MATRIX_FILE_VERSION,
         "dim": int(M.shape[0]),
@@ -167,13 +173,13 @@ def _rows_text(rows: list) -> str:
     return f"[\n    [\n      [\n        {body}\n      ]\n    ]\n  ]"
 
 
-def write_matrix_file(path: str, M: np.ndarray, metadata: dict | None = None) -> None:
+def write_matrix_file(path: str, M: np.ndarray, metadata: dict | None = None) -> bytes:
     """Write the matrix file text of json.dump(payload, indent=2, sort_keys=True).
 
-    An existing file is rewritten in place and trimmed (see the module
-    docstring).  As with open(path, "w"), the write is not atomic: a crash
-    or a failed write can leave a partial file, here possibly with a tail
-    of the old text.
+    Returns the bytes written.  An existing file is rewritten in place and
+    trimmed (see the module docstring).  As with open(path, "w"), the write
+    is not atomic: a crash or a failed write can leave a partial file, here
+    possibly with a tail of the old text.
     """
     payload = matrix_payload(M, metadata)
     fields = [f'"dim": {json.dumps(payload["dim"])}']
@@ -189,12 +195,19 @@ def write_matrix_file(path: str, M: np.ndarray, metadata: dict | None = None) ->
         fh.write(data)
         if stat.S_ISREG(st.st_mode) and st.st_size > len(data):
             fh.truncate(len(data))
+    return data
 
 
 def read_matrix_file(path: str) -> tuple[np.ndarray, dict]:
+    return _read_matrix_bytes(path)[:2]
+
+
+def _read_matrix_bytes(path: str) -> tuple[np.ndarray, dict, bytes]:
+    """read_matrix_file, also returning the bytes it parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        payload = json.loads(data.decode("utf-8"))
     except FileNotFoundError:
         raise ParseError(f"no such file: {path}") from None
     except json.JSONDecodeError as exc:
@@ -203,7 +216,7 @@ def read_matrix_file(path: str) -> tuple[np.ndarray, dict]:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
-    return payload_matrix(payload)
+    return (*payload_matrix(payload), data)
 
 
 def dump_report(report: dict) -> str:

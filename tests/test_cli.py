@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -186,6 +187,62 @@ def test_generate_members_verify(capsys, tmp_path, fixtures):
     for member in report["members"]:
         vcode, vreport, _ = run(capsys, "verify", member["path"])
         assert vcode == 0 and vreport["verdict"] == "pass"
+
+
+def record_opens(monkeypatch, on_open=None):
+    """Patch open(), which matrixio and cli both use, to record each path it opens.
+
+    ``on_open(path)`` runs right after a path is opened, handle in hand.
+    """
+    opened = []
+    real_open = open
+
+    def recording_open(file, *args, **kwargs):
+        handle = real_open(file, *args, **kwargs)
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(os.fspath(file))
+            if on_open is not None:
+                on_open(os.fspath(file))
+        return handle
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    return opened
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_input_is_read_once_and_digested_as_parsed(capsys, monkeypatch, fixtures, command):
+    path = fixtures["hada_swap"]
+    parsed = Path(path).read_bytes()
+
+    def replace_after_first_open(opened_path):
+        # once the command holds its handle, another file takes the path:
+        # a second read would see the identity matrix and other bytes
+        if opened_path == path and os.path.exists(fixtures["identity"]):
+            os.replace(fixtures["identity"], path)
+
+    opened = record_opens(monkeypatch, replace_after_first_open)
+    code, report, _ = run(capsys, command, path)
+    monkeypatch.undo()
+    assert opened.count(path) == 1
+    assert report["inputs"] == {"path": path, "sha256": hashlib.sha256(parsed).hexdigest()}
+    assert report["metadata"] == {"name": "hada_swap"}
+    assert code == 0 and report["verdict"] == "pass"
+
+
+def test_generate_out_dir_digests_the_bytes_it_wrote(capsys, monkeypatch, tmp_path):
+    out = tmp_path / "gen3"
+    opened = record_opens(monkeypatch)
+    code, report, _ = run(
+        capsys, "generate", "--family", "3", "--seed", "5", "--count", "4",
+        "--out-dir", str(out),
+    )
+    monkeypatch.undo()
+    assert code == 0
+    paths = [member["path"] for member in report["members"]]
+    assert not set(opened) & set(paths)
+    for member in report["members"]:
+        data = Path(member["path"]).read_bytes()
+        assert member["sha256"] == hashlib.sha256(data).hexdigest()
 
 
 def test_generate_constraint_violation(capsys):

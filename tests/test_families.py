@@ -566,6 +566,23 @@ def test_eigenvalue_filter_rejects_small_scale_r11():
     assert not eigenvalue_filter(M)
 
 
+@pytest.mark.parametrize("c", [1e-150, 1e-80, 1e-3, 1e3, 1e80, 1e150])
+def test_eigenvalue_filter_verdict_is_scale_free(c):
+    # the moduli ratio is scale-free, and the root check must stay finite
+    # and sharp: unscaled, char_poly overflowed past max|A| ~ 1e77 and its
+    # coefficients underflowed to 0 near 1e-150 (Tier-1 turns either
+    # RuntimeWarning into an error)
+    rng = np.random.default_rng(41)
+    verdicts = set()
+    for cand in hietarinta_candidates():
+        for _ in range(5):
+            M = cand.sample(rng)
+            want = eigenvalue_filter(M)
+            assert eigenvalue_filter(c * M) == want, (cand.name, c)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_eigenvalue_filter_raises_on_near_singular():
     with pytest.raises(SingularMatrix):
         eigenvalue_filter(np.diag([1, 1, 1, 1e-12]).astype(complex))

@@ -256,7 +256,7 @@ def test_eigenvalues_defective_root_is_scale_invariant(log_c, seed):
         assert greedy_match(got, c * np.asarray(exact)) <= 1e-10 * c
 
 
-@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("c", [1e-150, 1e-3, 1.0, 1e3, 1e80, 1e150])
 def test_eigenvalues_rejects_a_non_root_at_every_scale(c, monkeypatch):
     # a root solver that returns 1.5c in place of c must be caught whatever
     # the scale; a bound with an absolute floor of 1 let it pass at c = 1e-3
@@ -470,3 +470,85 @@ def test_is_unitary_on_overflowing_entries():
     # A†A overflows; the verdict is False with an infinite defect, silently
     ok, defect = is_unitary(np.full((4, 4), 1e300))
     assert not ok and defect == np.inf
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e80, 1e150])
+def test_eigenvalues_at_extreme_scales_are_lapack_roots(c):
+    # the check runs on 2**-e * A, with no overflow or underflow warning;
+    # the roots returned are in A's own units
+    got = eigenvalues(c * np.diag([1.0, 1.0, 1.0, 2.0]))
+    assert greedy_match(got, c * np.array([1.0, 1.0, 1.0, 2.0])) <= 1e-15 * c
+
+
+def test_non_convergence_beyond_the_float_range_names_the_ratio(monkeypatch):
+    # p(1.5e150) is 0.9375e600 in A's units: an inf residual and bound,
+    # with the ratio that decided the check in the message
+    monkeypatch.setattr(np.linalg, "eigvals", lambda A: np.array([1.5, 2, 3, 4]) * 1e150)
+    with pytest.raises(NonConvergence) as info:
+        eigenvalues(np.diag([1.0, 2.0, 3.0, 4.0]) * 1e150)
+    assert info.value.residual == info.value.bound == np.inf
+    assert "beyond the float range" in str(info.value)
+
+
+def _non_numeric_calls():
+    from ybe4 import (
+        BraidWord,
+        FamilySpec,
+        TwoQubitState,
+        braid_rep,
+        braided_residual,
+        bracket_R,
+        d_matrix,
+        delta_lower_bound,
+        eigenvalue_filter,
+        f2_params,
+        gram,
+        is_product_state,
+        loop_value,
+        odot,
+        realign,
+        solution_check,
+        write_matrix_file,
+    )
+
+    word = BraidWord(3, ((1, 1),))
+    return {
+        "inverse": lambda: inverse("ab"),
+        "braided_residual": lambda: braided_residual("ab"),
+        "solution_check": lambda: solution_check("ab"),
+        "char_poly": lambda: char_poly("ab"),
+        "braid_rep": lambda: braid_rep("ab", word),
+        "realign": lambda: realign("ab"),
+        "kron": lambda: kron("ab", np.eye(2)),
+        "dagger": lambda: dagger("ab"),
+        "frobenius": lambda: frobenius("ab"),
+        "gram": lambda: gram("ab"),
+        "f2_params": lambda: f2_params("ab"),
+        "d_matrix": lambda: d_matrix("ab", np.eye(2)),
+        "FamilySpec": lambda: FamilySpec("F5", "ab"),
+        "TwoQubitState": lambda: TwoQubitState("ab"),
+        "is_product_state": lambda: is_product_state("ab"),
+        "is_unitary": lambda: is_unitary({"a": 1}),
+        "eigenvalue_filter": lambda: eigenvalue_filter(object()),
+        "odot": lambda: odot("ab", np.eye(2)),
+        "loop_value": lambda: loop_value("ab"),
+        "bracket_R": lambda: bracket_R(1j, "ab"),
+        "delta_lower_bound": lambda: delta_lower_bound("ab"),
+        "write_matrix_file": lambda: write_matrix_file("unused.json", "ab"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_non_numeric_calls()))
+def test_non_numeric_input_is_a_constraint_violation(name, tmp_path, monkeypatch):
+    # numpy's own ValueError or TypeError, untyped, came out of each before
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConstraintViolation, match="expected an array of numbers"):
+        _non_numeric_calls()[name]()
+    assert not (tmp_path / "unused.json").exists()
+
+
+def test_frobenius_keeps_a_real_input_real():
+    # a real array's norm is summed as real: converting it to complex first
+    # changes the BLAS summation and, in the last bit, the result
+    A = np.random.default_rng(3).normal(size=(4, 4))
+    assert frobenius(A) == float(np.linalg.norm(A))

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from ybe4.errors import DimensionError, ParseError
+from ybe4.errors import DimensionError, NonFiniteValue, ParseError
 from ybe4.matrixio import (
     _checked_rows_to_matrix,
     matrix_payload,
@@ -155,15 +155,31 @@ def random_entries(rng, dim):
 
 
 def test_write_matches_json_dump_bytes(tmp_path):
-    """write_matrix_file writes json.dump(payload, indent=2, sort_keys=True) + newline."""
+    """write_matrix_file writes json.dump(payload, indent=2, sort_keys=True) + newline.
+
+    A draw with a NaN or infinite entry, which JSON cannot hold, is refused
+    before the file is touched; the draw is then written with those parts
+    set to the smallest subnormal, so all 400 draws still sweep the bytes.
+    """
     rng = np.random.default_rng(2024)
     path = tmp_path / "m.json"
+    path.write_bytes(b"")
+    refused = 0
     for case in range(400):
         M = random_entries(rng, int(rng.integers(0, 10)))
         metadata = METADATA[case % len(METADATA)]
-        write_matrix_file(str(path), M, metadata)
+        if not np.isfinite(M).all():
+            before = path.read_bytes()
+            with pytest.raises(NonFiniteValue):
+                write_matrix_file(str(path), M, metadata)
+            assert path.read_bytes() == before, case
+            refused += 1
+            parts = M.view(float)
+            parts[~np.isfinite(parts)] = 5e-324
+        data = write_matrix_file(str(path), M, metadata)
         want = json.dumps(matrix_payload(M, metadata), indent=2, sort_keys=True) + "\n"
-        assert path.read_bytes() == want.encode("utf-8"), (case, M.shape, metadata)
+        assert path.read_bytes() == data == want.encode("utf-8"), (case, M.shape, metadata)
+    assert 0 < refused < 400
 
 
 def expected_bytes(M, metadata=None):

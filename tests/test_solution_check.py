@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ybe4 import core
 from ybe4.classify import classify
 from ybe4.cli import main
 from ybe4.core import (
@@ -36,6 +37,17 @@ def test_solution_check_residual_is_the_embedding_route():
     M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     assert solution_check(M)[0] == braided_residual(M)
     assert solution_check(M, "algebraic")[0] == algebraic_residual(M)
+
+
+@pytest.mark.parametrize("form", ["braided", "algebraic"])
+def test_solution_check_calls_the_public_residual(form, monkeypatch):
+    # a wrapper on core's public name sees every solution_check call, as a
+    # tracer that patches the module attribute expects
+    calls = []
+    public = getattr(core, f"{form}_residual")
+    monkeypatch.setattr(core, f"{form}_residual", lambda R: calls.append(1) or public(R))
+    residual, _ = solution_check(HADA @ SWAP, form)
+    assert calls == [1] and residual == public(HADA @ SWAP)
 
 
 def test_solution_check_bound_is_cubic_above_unit_scale():
