@@ -34,6 +34,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import groupby
 from typing import Callable
 
@@ -160,10 +161,11 @@ def _f2_params(Q: np.ndarray, tol: Tolerance) -> tuple[complex, complex]:
 def family_representative(spec: FamilySpec) -> np.ndarray:
     """The base algebraic-form pattern R for this spec, from its inventory builder.
 
-    Raises ConstraintViolation when an F1 or F3 spec lacks a parameter.
+    Raises ConstraintViolation when spec is not a FamilySpec or an F1 or F3
+    spec lacks a parameter.
     """
     try:
-        return _representative(spec, DEFAULT_TOL)
+        return _representative(_as_spec(spec), DEFAULT_TOL)
     except KeyError as err:
         raise ConstraintViolation(f"{spec.family} needs parameter {err.args[0]}") from None
 
@@ -172,14 +174,14 @@ def _representative(spec: FamilySpec, tol: Tolerance) -> np.ndarray:
     """family_representative, with F2's Gram off-diagonal tested against tol."""
     fam, pa = spec.family, spec.params
     if fam == "F1":
-        return _r31(1.0, pa["p"], pa["q"], pa["r"])
+        return _PATTERNS["R31"].build(1.0, pa["p"], pa["q"], pa["r"])
     if fam == "F2":
-        return _r14(*_f2_params(spec.Q, tol), 1.0)
+        return _PATTERNS["R14"].build(*_f2_params(spec.Q, tol), 1.0)
     if fam == "F3":
-        return _r14(pa["p"], pa["q"], 1.0)
+        return _PATTERNS["R14"].build(pa["p"], pa["q"], 1.0)
     if fam == "F4":
-        return _r02() / _SQRT2
-    return swap_matrix()
+        return _PATTERNS["R02"].build() / _SQRT2
+    return _PATTERNS["R03"].build()
 
 
 def validate_spec(spec: FamilySpec, tol: Tolerance = DEFAULT_TOL) -> list[str]:
@@ -187,7 +189,8 @@ def validate_spec(spec: FamilySpec, tol: Tolerance = DEFAULT_TOL) -> list[str]:
 
     Every test on Q is relative to its own scale (the Gram entries to their
     trace, the corners to max|Q|), so Q and c*Q get the same verdict, as
-    they give the same member.
+    they give the same member.  Raises ConstraintViolation unless spec is
+    a FamilySpec.
     """
     return _check_spec(spec, tol)[0]
 
@@ -197,12 +200,20 @@ def _misses(value: float, want: float, bound: float) -> bool:
     return not abs(value - want) <= bound
 
 
+def _as_spec(spec) -> FamilySpec:
+    """spec itself; ConstraintViolation unless it is a FamilySpec."""
+    if not isinstance(spec, FamilySpec):
+        raise ConstraintViolation(f"expected a FamilySpec, got {type(spec).__name__}")
+    return spec
+
+
 def _check_spec(
     spec: FamilySpec, tol: Tolerance
 ) -> tuple[list[str], np.ndarray | None]:
-    """(validate_spec's violations, Q^-1), with Q^-1 None when Q is singular."""
+    """(validate_spec's violations, Q^-1), with Q^-1 None when Q is singular;
+    ConstraintViolation unless spec is a FamilySpec."""
     out: list[str] = []
-    Q = spec.Q
+    Q = _as_spec(spec).Q
     try:
         Qinv = inverse(Q, tol)
     except SingularMatrix:
@@ -258,7 +269,8 @@ def family_member(
     """Construct k (Q(x)Q) R (Q(x)Q)^-1 P (braided) or the same without P (algebraic).
 
     Raises ConstraintViolation when the spec breaks its family's constraints,
-    which is exactly when the result would fail to be unitary.
+    which is exactly when the result would fail to be unitary, or is not a
+    FamilySpec.
     """
     if form not in ("braided", "algebraic"):
         raise ConstraintViolation(f"unknown form {form!r}")
@@ -329,8 +341,12 @@ def _sample_q_equal_corners(rng: np.random.Generator) -> np.ndarray:
 
 
 def random_family_spec(family: str, rng: np.random.Generator) -> FamilySpec:
-    """Draw a random valid spec of the given family."""
-    k = _unit(rng)
+    """Draw a random valid spec of the given family.
+
+    Raises ConstraintViolation for an unknown family or an rng that is not
+    a numpy Generator.
+    """
+    k = _unit(_generator(rng))
     if family == "F1":
         Q = _sample_q_gram_diagonal(rng)
         return FamilySpec(
@@ -381,29 +397,60 @@ def _filter_verdicts(M: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndar
 class CandidateRep:
     """A candidate invertible solution from the classical 4x4 inventory.
 
-    sampling maps each of build's parameters, in build's order, to 'unit'
-    (a random phase, as _unit draws it) or 'generic' (a random complex
-    gaussian, as _crand draws it); build produces the matrix from keyword
-    arguments.  samples(rng, n) draws the parameters of n draws as arrays,
-    and its matrices and the generator's final state are bit for bit those
-    of n rounds of one _unit or _crand call per parameter; sample is its
+    entries gives the matrix's 16 entries as a row-major list; sampling
+    maps each of its parameters, in its order, to 'unit' (a random phase,
+    as _unit draws it) or 'generic' (a random complex gaussian, as _crand
+    draws it).  build(*args, **params) is the 4x4 complex matrix of those
+    entries.  samples(rng, n) draws the parameters of n draws as arrays
+    and stacks their entry lists into one (n, 4, 4) array; its bytes and
+    the generator's final state are bit for bit those of n rounds of one
+    _unit or _crand call per parameter, each built alone.  sample is its
     one-draw case.
     """
 
     name: str
     sampling: dict[str, str]
-    build: Callable[..., np.ndarray]
+    entries: Callable[..., list]
+
+    def build(self, *args, **params) -> np.ndarray:
+        return np.array(self.entries(*args, **params), dtype=complex).reshape(4, 4)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return self.samples(rng, 1)[0]
 
-    def samples(self, rng: np.random.Generator, n: int) -> list[np.ndarray]:
-        """n successive draws, each built from Python complex parameters."""
-        names = tuple(self.sampling)
-        return [
-            self.build(**dict(zip(names, row)))
-            for row in _draw_params(tuple(self.sampling.values()), n, rng)
-        ]
+    def samples(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n successive draws as one (n, 4, 4) array, each row's entries
+        computed from Python complex parameters.
+
+        Raises ConstraintViolation unless rng is a numpy Generator and n an
+        integer >= 0.
+        """
+        n = _integer_at_least("n", n, 0)
+        rows = _draw_params(tuple(self.sampling.values()), n, _generator(rng))
+        entries = self.entries  # sampling lists its parameters in order
+        stack = np.array([entries(*row) for row in rows], dtype=complex)
+        return stack.reshape(n, 4, 4)
+
+
+def _generator(rng) -> np.random.Generator:
+    """rng itself; ConstraintViolation unless it is a numpy Generator."""
+    if not isinstance(rng, np.random.Generator):
+        raise ConstraintViolation(
+            f"rng must be a numpy.random.Generator, got {type(rng).__name__}"
+        )
+    return rng
+
+
+@lru_cache
+def _draw_plan(kinds: tuple[str, ...], n: int) -> tuple:
+    """(unit columns, generic columns, whether the first run is unit, run
+    sizes) of _draw_params: the n x len(kinds) kinds, read row by row, split
+    into maximal runs of one kind, which alternate between the two kinds."""
+    unit = tuple(i for i, kind in enumerate(kinds) if kind == "unit")
+    generic = tuple(i for i, kind in enumerate(kinds) if kind != "unit")
+    flags = [kind == "unit" for kind in kinds] * n
+    sizes = tuple(len(list(run)) for _, run in groupby(flags))
+    return unit, generic, bool(flags) and flags[0], sizes
 
 
 def _draw_params(
@@ -417,15 +464,14 @@ def _draw_params(
     array with the values its scalar calls return one at a time.  The
     phases and the gaussians are then formed once each.
     """
-    unit = [i for i, kind in enumerate(kinds) if kind == "unit"]
-    generic = [i for i, kind in enumerate(kinds) if kind != "unit"]
+    unit, generic, is_unit, sizes = _draw_plan(kinds, n)
     uniforms, normals = [], []
-    for kind, run in groupby(kinds * n):
-        size = len(list(run))
-        if kind == "unit":
+    for size in sizes:
+        if is_unit:
             uniforms.append(rng.random(size))  # rng.uniform() is 0 + 1 * this
         else:
             normals.append(rng.standard_normal((size, 2)))  # (real, imag) pairs
+        is_unit = not is_unit
     values = np.empty((n, len(kinds)), dtype=complex)
     if uniforms:
         values[:, unit] = np.exp(2j * np.pi * np.concatenate(uniforms)).reshape(n, -1)
@@ -437,81 +483,66 @@ def _draw_params(
     return values.tolist()
 
 
-def _r01() -> np.ndarray:
-    return np.array(
-        [[1, 0, 0, 1], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]], dtype=complex
-    )
+def _r01() -> list:
+    return [1, 0, 0, 1, 0, -1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 1]
 
 
-def _r02() -> np.ndarray:
-    return np.array(
-        [[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [-1, 0, 0, 1]], dtype=complex
-    )
+def _r02() -> list:
+    return [1, 0, 0, 1, 0, 1, 1, 0, 0, 1, -1, 0, -1, 0, 0, 1]
 
 
-def _r11(p, q) -> np.ndarray:
+def _r03() -> list:
+    return _SWAP.ravel().tolist()
+
+
+def _r11(p, q) -> list:
     s, d = p * p + q * q, p * p - q * q
-    return np.array(
-        [
-            [p * p + 2 * p * q - q * q, 0, 0, d],
-            [0, s, d, 0],
-            [0, d, s, 0],
-            [d, 0, 0, p * p - 2 * p * q - q * q],
-        ],
-        dtype=complex,
-    )
+    return [
+        p * p + 2 * p * q - q * q, 0, 0, d,
+        0, s, d, 0,
+        0, d, s, 0,
+        d, 0, 0, p * p - 2 * p * q - q * q,
+    ]  # fmt: skip
 
 
-def _r12(p, q, k) -> np.ndarray:
-    return np.array(
-        [[p, 0, 0, k], [0, p, p - q, 0], [0, 0, q, 0], [0, 0, 0, -q]], dtype=complex
-    )
+def _r12(p, q, k) -> list:
+    return [p, 0, 0, k, 0, p, p - q, 0, 0, 0, q, 0, 0, 0, 0, -q]
 
 
-def _r13(k, p, q) -> np.ndarray:
-    return np.array(
-        [
-            [k * k, k * p, -k * p, p * q],
-            [0, k * k, 0, k * q],
-            [0, 0, k * k, -k * q],
-            [0, 0, 0, k * k],
-        ],
-        dtype=complex,
-    )
+def _r13(k, p, q) -> list:
+    return [
+        k * k, k * p, -k * p, p * q,
+        0, k * k, 0, k * q,
+        0, 0, k * k, -k * q,
+        0, 0, 0, k * k,
+    ]  # fmt: skip
 
 
-def _r14(p, q, k) -> np.ndarray:
-    return np.array(
-        [[0, 0, 0, p], [0, 0, k, 0], [0, k, 0, 0], [q, 0, 0, 0]], dtype=complex
-    )
+def _r14(p, q, k) -> list:
+    return [0, 0, 0, p, 0, 0, k, 0, 0, k, 0, 0, q, 0, 0, 0]
 
 
-def _r21(k, p, q) -> np.ndarray:
-    return np.array(
-        [
-            [k * k, 0, 0, 0],
-            [0, k * p, k * k - p * q, 0],
-            [0, 0, k * q, 0],
-            [0, 0, 0, k * k],
-        ],
-        dtype=complex,
-    )
+def _r21(k, p, q) -> list:
+    return [
+        k * k, 0, 0, 0,
+        0, k * p, k * k - p * q, 0,
+        0, 0, k * q, 0,
+        0, 0, 0, k * k,
+    ]  # fmt: skip
 
 
-def _r22(k, p, q) -> np.ndarray:
-    M = _r21(k, p, q)
-    M[3, 3] = -p * q
-    return M
+def _r22(k, p, q) -> list:
+    entries = _r21(k, p, q)
+    entries[15] = -p * q
+    return entries
 
 
-def _r23(k, p, q, s) -> np.ndarray:
-    return np.array(
-        [[k, p, q, s], [0, k, 0, q], [0, 0, k, p], [0, 0, 0, k]], dtype=complex
-    )
+def _r23(k, p, q, s) -> list:
+    return [k, p, q, s, 0, k, 0, q, 0, 0, k, p, 0, 0, 0, k]
 
 
-def _r31(k, p, q, s) -> np.ndarray:
-    return np.diag([k, p, q, s]).astype(complex)
+def _r31(k, p, q, s) -> list:
+    return [k, 0, 0, 0, 0, p, 0, 0, 0, 0, q, 0, 0, 0, 0, s]
 
 
 def hietarinta_candidates() -> tuple[CandidateRep, ...]:
@@ -519,7 +550,7 @@ def hietarinta_candidates() -> tuple[CandidateRep, ...]:
     return (
         CandidateRep("R01", {}, _r01),
         CandidateRep("R02", {}, _r02),
-        CandidateRep("R03", {}, swap_matrix),
+        CandidateRep("R03", {}, _r03),
         CandidateRep("R11", {"p": "generic", "q": "generic"}, _r11),
         CandidateRep("R12", {"p": "unit", "q": "unit", "k": "generic"}, _r12),
         CandidateRep("R13", {"k": "generic", "p": "generic", "q": "generic"}, _r13),
@@ -532,6 +563,9 @@ def hietarinta_candidates() -> tuple[CandidateRep, ...]:
         CandidateRep("R31", {"k": "unit", "p": "unit", "q": "unit", "s": "unit"}, _r31),
     )
 
+
+# the family patterns' inventory points, for _representative
+_PATTERNS = {cand.name: cand for cand in hietarinta_candidates()}
 
 _CASE_FORMS = ("R12", "R13", "R21", "R22", "R23", "R31")
 
@@ -592,12 +626,15 @@ def run_elimination(
     draws), each candidate's in inventory order, and a degenerate draw
     queues one redraw at the back.  Each pass takes up to _FILTER_STACK
     draws from the front and checks them with one stacked eigenvalues
-    call.  A run's parameters are drawn as arrays (CandidateRep.samples),
-    with the values and generator state of drawing one parameter at a
-    time, so the draws and counts are those of taking the queue one draw
-    at a time.  A NonConvergence names the candidate and the draw, and
-    carries as ``index`` the draw's position in that candidate's stream
-    (from 0, redraws included).
+    call.  A run's parameters are drawn as arrays and its entry lists
+    stacked as one array (CandidateRep.samples), and the pass concatenates
+    its runs; the values, the stack bytes and the generator state are
+    those of drawing one parameter at a time and building each matrix
+    alone, so the draws and counts are those of taking the queue one draw
+    at a time.  ``rel_tol`` must be a finite real number > 0.  A
+    NonConvergence names the candidate and the draw, and carries as
+    ``index`` the draw's position in that candidate's stream (from 0,
+    redraws included).
     """
     check_tolerance("rel_tol", rel_tol)
     count = _integer_at_least("samples", samples, 1)
@@ -610,15 +647,15 @@ def run_elimination(
     queue = deque(enumerate(attempts))  # runs of (candidate, draws)
     while queue:
         rows: list[int] = []
-        mats: list[np.ndarray] = []
+        runs: list[np.ndarray] = []
         while queue and len(rows) < _FILTER_STACK:
             i, left = queue.popleft()
             take = min(left, _FILTER_STACK - len(rows))
             if take < left:
                 queue.appendleft((i, left - take))
             rows += [i] * take
-            mats += inventory[i].samples(rng, take)
-        stack = np.array(mats)
+            runs.append(inventory[i].samples(rng, take))
+        stack = np.concatenate(runs)
         try:
             ok, singular = _filter_verdicts(stack, rel_tol)
         except NonConvergence as exc:

@@ -17,6 +17,7 @@ alone; a single matrix is a stack with no leading axes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import combinations
@@ -66,12 +67,21 @@ class Tolerance:
 
 
 def check_tolerance(name: str, value: float) -> None:
-    """Raise ConstraintViolation unless value is finite and positive.
+    """Raise ConstraintViolation unless value is a finite positive real number.
 
     A NaN bound fails every comparison and a negative one passes none, so
-    either would turn each check into a silent wrong verdict.
+    either would turn each check into a silent wrong verdict; a string or a
+    complex bound cannot be compared at all.
     """
-    if not (np.isfinite(value) and value > 0):
+    if not isinstance(value, numbers.Real):
+        raise ConstraintViolation(
+            f"{name} must be a real number, got {type(value).__name__}"
+        )
+    try:
+        ok = math.isfinite(value) and value > 0
+    except OverflowError:  # an int past the float range
+        ok = False
+    if not ok:
         raise ConstraintViolation(f"{name} must be finite and > 0, got {value!r}")
 
 
@@ -183,18 +193,20 @@ def char_poly(A: np.ndarray) -> np.ndarray:
     Returns monic coefficients in descending powers, so a dim-4 input
     yields five numbers (1, c3, c2, c1, c0).  A stack of shape (..., n, n)
     yields shape (..., n + 1).  Each step forms one stacked product AM = A @ M
-    and reads both c_k = -tr(AM) / k and the next M = AM + c_k I from it.
+    and reads both c_k = -tr(AM) / k and the next M = AM + c_k I from it;
+    the first step's M is I, so its AM is A itself, and the last M (zero,
+    by Cayley-Hamilton) is never formed.
     """
     A = _square(A, stack=True)
     n = A.shape[-1]
     eye = np.eye(n, dtype=complex)
     coeffs = np.zeros(A.shape[:-2] + (n + 1,), dtype=complex)
     coeffs[..., 0] = 1.0
-    M = eye
+    AM = A
     for k in range(1, n + 1):
-        AM = A @ M
         coeffs[..., k] = -np.trace(AM, axis1=-2, axis2=-1) / k
-        M = AM + coeffs[..., k, None, None] * eye
+        if k < n:
+            AM = A @ (AM + coeffs[..., k, None, None] * eye)
     return coeffs
 
 
@@ -220,13 +232,22 @@ def _merge_root_clusters(roots: np.ndarray, scale: np.ndarray) -> np.ndarray:
     ``roots`` has shape (..., n) and ``scale`` the leading shape.  Each
     index subset is one array step over all rows, taken in the same
     largest-first ``combinations`` order, and a per-row mask keeps a root
-    in at most one cluster.
+    in at most one cluster.  A row with no pair of roots within the widest
+    radius for its n has no tight subset, so only the other rows are walked.
     """
     out = np.array(roots, dtype=complex)
     n = out.shape[-1]
-    rows = out.reshape(-1, n)
+    flat = out.reshape(-1, n)
+    dist = np.abs(flat[:, :, None] - flat[:, None, :])
     scale = np.reshape(scale, -1)
-    dist = np.abs(rows[:, :, None] - rows[:, None, :])
+    widest = max((_CLUSTER_RADIUS.get(m, 2e-2) for m in range(2, n + 1)), default=0.0)
+    # the diagonal's n zeros are always within reach; any more is a close pair
+    live = np.flatnonzero(
+        np.count_nonzero(dist <= (widest * scale)[:, None, None], axis=(1, 2)) > n
+    )
+    if live.size == 0:
+        return out
+    rows, dist, scale = flat[live], dist[live], scale[live]
     merged = np.zeros(rows.shape, dtype=bool)
     for m, members, i, j in _subsets(n):
         allow = (_CLUSTER_RADIUS.get(m, 2e-2) * scale)[:, None, None]
@@ -238,6 +259,7 @@ def _merge_root_clusters(roots: np.ndarray, scale: np.ndarray) -> np.ndarray:
                 cell = np.ix_(hit, idx)
                 rows[cell] = rows[cell].mean(axis=1, keepdims=True)
                 merged[cell] = True
+    flat[live] = rows
     return out
 
 

@@ -38,6 +38,7 @@ from ybe4.families import _r11
 from ybe4.linalg import Tolerance, eigenvalues, frobenius, inverse, is_unitary, kron
 
 SWAP = swap_matrix(2)
+INVENTORY = {cand.name: cand for cand in hietarinta_candidates()}
 
 
 def test_family_spec_rejects_bad_input():
@@ -189,8 +190,8 @@ def test_family_patterns_are_inventory_points(family):
 
 def test_classify_moduli_are_the_pattern_moduli():
     # F3 at unit p, q is R14 at unit arguments, F4 is R02 / sqrt2
-    f3_moduli = np.abs(families._r14(1.0, 1.0, 1.0))
-    f4_moduli = np.abs(families._r02() / np.sqrt(2))
+    f3_moduli = np.abs(INVENTORY["R14"].build(1.0, 1.0, 1.0))
+    f4_moduli = np.abs(INVENTORY["R02"].build() / np.sqrt(2))
     assert np.array_equal(_F3_MODULI, f3_moduli)
     assert np.array_equal(_F4_MODULI, f4_moduli)
     # the literal patterns they replaced
@@ -203,10 +204,9 @@ def test_classify_moduli_are_the_pattern_moduli():
 
 def test_candidate_sampling_lists_the_builder_parameters():
     # case_matrix reads the leading parameter off sampling's first key
+    # and samples calls the entry builder with a draw's values in that order
     for cand in hietarinta_candidates():
-        params = list(inspect.signature(cand.build).parameters)
-        if cand.name == "R03":
-            params = []  # swap_matrix's dimension d keeps its default
+        params = list(inspect.signature(cand.entries).parameters)
         assert list(cand.sampling) == params, cand.name
 
 
@@ -557,7 +557,7 @@ def test_eigenvalue_filter_rejects_small_scale_r11():
     # would merge into one 4-fold root
     p = np.sqrt(1.28e-3) * np.exp(0.7j)
     q = np.sqrt(8.14e-4) * np.exp(-1.1j)
-    M = _r11(p, q)
+    M = INVENTORY["R11"].build(p, q)
     roots = eigenvalues(M)
     assert len({complex(z) for z in roots}) == 3
     want = [2 * p * p, 2 * p * p, 2 * q * q, -2 * q * q]
@@ -679,6 +679,41 @@ def test_array_draws_merge_runs_across_draws(kinds):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+RNG = np.random.default_rng(0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Tolerance(eq_tol="a"), "eq_tol must be a real number, got str"),
+        (lambda: Tolerance(residual_tol=1j), "residual_tol must be a real number"),
+        (lambda: eigenvalue_filter(SWAP, "a"), "rel_tol must be a real number"),
+        (lambda: run_elimination(rel_tol="a"), "rel_tol must be a real number"),
+        (lambda: run_elimination(rel_tol=10**400), "rel_tol must be finite and > 0"),
+        (lambda: INVENTORY["R11"].samples(RNG, "a"), "n must be an integer >= 0"),
+        (lambda: INVENTORY["R11"].samples(RNG, -1), "n must be an integer >= 0"),
+        (lambda: INVENTORY["R11"].samples(RNG, 2.5), "n must be an integer >= 0"),
+        (lambda: INVENTORY["R11"].sample("rng"), "rng must be a numpy.random.Generator"),
+        (lambda: INVENTORY["R01"].samples(None, 2), "rng must be a numpy.random.Generator"),
+        (lambda: random_family_spec("F1", "rng"), "rng must be a numpy.random.Generator"),
+        (lambda: validate_spec("x"), "expected a FamilySpec, got str"),
+        (lambda: family_member("x"), "expected a FamilySpec, got str"),
+        (lambda: family_representative(None), "expected a FamilySpec, got NoneType"),
+    ],
+)
+def test_bad_scalar_parameters_are_constraint_violations(call, message):
+    with pytest.raises(ConstraintViolation, match=message):
+        call()
+
+
+def test_zero_samples_is_an_empty_stack():
+    for cand in hietarinta_candidates():
+        rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+        got = cand.samples(rng, 0)
+        assert got.shape == (0, 4, 4) and got.dtype == complex
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_random_family_spec_unknown_family():
     with pytest.raises(ValueError):
         random_family_spec("F7", np.random.default_rng(0))
@@ -767,8 +802,8 @@ def _flaky(p):
     # |p| < 0.4 (about 15 % of draws) spans 12 orders of modulus: a redraw;
     # otherwise the draw passes unless |p| > 1.2
     if abs(p) < 0.4:
-        return np.diag([1, 1, 1, 1e-12]).astype(complex)
-    return np.diag([1, p / abs(p), 1, 1 if abs(p) < 1.2 else 2]).astype(complex)
+        return [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1e-12]
+    return [1, 0, 0, 0, 0, p / abs(p), 0, 0, 0, 0, 1, 0, 0, 0, 0, 1 if abs(p) < 1.2 else 2]
 
 
 FLAKY = CandidateRep("RS", {"p": "generic"}, _flaky)
@@ -829,11 +864,11 @@ def _draws(samples, seed):
     seen = []
 
     def recorded(cand):
-        def build(**params):
-            seen.append((cand.name, cand.build(**params)))
-            return seen[-1][1]
+        def entries(*args, **params):
+            seen.append((cand.name, cand.build(*args, **params)))
+            return cand.entries(*args, **params)
 
-        return CandidateRep(cand.name, cand.sampling, build)
+        return CandidateRep(cand.name, cand.sampling, entries)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
@@ -946,16 +981,16 @@ def test_filter_matches_closed_form_spectra(monkeypatch, conjugate):
     draws = []
 
     def recorded(cand, key):
-        def build(**params):
-            M = cand.build(**params)
+        def entries(*args):
+            M = cand.build(*args)
             if conjugate:
                 S = rng_s.normal(size=(4, 4)) + 1j * rng_s.normal(size=(4, 4))
                 S += 3.0 * np.eye(4)
                 M = S @ M @ np.linalg.inv(S)
-            draws.append((key, cand.name, params, M))
-            return M
+            draws.append((key, cand.name, dict(zip(cand.sampling, args)), M))
+            return M.ravel().tolist()
 
-        return CandidateRep(key, cand.sampling, build)
+        return CandidateRep(key, cand.sampling, entries)
 
     monkeypatch.setattr(
         families,
@@ -982,8 +1017,8 @@ def test_filter_matches_closed_form_spectra(monkeypatch, conjugate):
 def test_filter_passes_r11_on_equal_moduli():
     # R11 passes exactly on |p| = |q|: the spectrum is {2p^2, 2p^2, 2q^2, -2q^2}
     p, q = 0.8 * np.exp(0.4j), 0.8 * np.exp(-1.3j)
-    M = _r11(p, q)
+    M = INVENTORY["R11"].build(p, q)
     S = np.array([[2, 1j, 0, 0], [0, 1, 0.5, 0], [0, 0, 1, -1], [1, 0, 0, 1]])
     assert eigenvalue_filter(M)
     assert eigenvalue_filter(S @ M @ np.linalg.inv(S))
-    assert not eigenvalue_filter(_r11(p, 1.01 * q))
+    assert not eigenvalue_filter(INVENTORY["R11"].build(p, 1.01 * q))
