@@ -445,7 +445,13 @@ def _generator(rng) -> np.random.Generator:
 def _draw_plan(kinds: tuple[str, ...], n: int) -> tuple:
     """(unit columns, generic columns, whether the first run is unit, run
     sizes) of _draw_params: the n x len(kinds) kinds, read row by row, split
-    into maximal runs of one kind, which alternate between the two kinds."""
+    into maximal runs of one kind, which alternate between the two kinds.
+
+    Cached (128 plans at most) because the same (kinds, n) comes back
+    whenever run_elimination is called again with the same sample count:
+    each first pass draws every candidate's full count, and redraw passes
+    draw small counts.  A single large run, as in one ``ybe4 filter``
+    command, mostly misses, and costs one plan either way."""
     unit = tuple(i for i, kind in enumerate(kinds) if kind == "unit")
     generic = tuple(i for i, kind in enumerate(kinds) if kind != "unit")
     flags = [kind == "unit" for kind in kinds] * n
@@ -564,7 +570,7 @@ def hietarinta_candidates() -> tuple[CandidateRep, ...]:
     )
 
 
-# the family patterns' inventory points, for _representative
+# the inventory by name, for _representative and case_matrix
 _PATTERNS = {cand.name: cand for cand in hietarinta_candidates()}
 
 _CASE_FORMS = ("R12", "R13", "R21", "R22", "R23", "R31")
@@ -582,7 +588,7 @@ def case_matrix(name: str, **params: complex) -> np.ndarray:
     """
     if name not in _CASE_FORMS:
         raise ConstraintViolation(f"no scaled case form for {name!r}")
-    cand = next(c for c in hietarinta_candidates() if c.name == name)
+    cand = _PATTERNS[name]
     lead, *rest = cand.sampling  # the builder's parameters, in order
     unknown = sorted(set(params) - set(rest))
     if unknown:

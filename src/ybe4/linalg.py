@@ -232,22 +232,13 @@ def _merge_root_clusters(roots: np.ndarray, scale: np.ndarray) -> np.ndarray:
     ``roots`` has shape (..., n) and ``scale`` the leading shape.  Each
     index subset is one array step over all rows, taken in the same
     largest-first ``combinations`` order, and a per-row mask keeps a root
-    in at most one cluster.  A row with no pair of roots within the widest
-    radius for its n has no tight subset, so only the other rows are walked.
+    in at most one cluster.
     """
     out = np.array(roots, dtype=complex)
     n = out.shape[-1]
-    flat = out.reshape(-1, n)
-    dist = np.abs(flat[:, :, None] - flat[:, None, :])
+    rows = out.reshape(-1, n)
     scale = np.reshape(scale, -1)
-    widest = max((_CLUSTER_RADIUS.get(m, 2e-2) for m in range(2, n + 1)), default=0.0)
-    # the diagonal's n zeros are always within reach; any more is a close pair
-    live = np.flatnonzero(
-        np.count_nonzero(dist <= (widest * scale)[:, None, None], axis=(1, 2)) > n
-    )
-    if live.size == 0:
-        return out
-    rows, dist, scale = flat[live], dist[live], scale[live]
+    dist = np.abs(rows[:, :, None] - rows[:, None, :])
     merged = np.zeros(rows.shape, dtype=bool)
     for m, members, i, j in _subsets(n):
         allow = (_CLUSTER_RADIUS.get(m, 2e-2) * scale)[:, None, None]
@@ -259,7 +250,6 @@ def _merge_root_clusters(roots: np.ndarray, scale: np.ndarray) -> np.ndarray:
                 cell = np.ix_(hit, idx)
                 rows[cell] = rows[cell].mean(axis=1, keepdims=True)
                 merged[cell] = True
-    flat[live] = rows
     return out
 
 

@@ -15,7 +15,6 @@ from ybe4.errors import (
     NonFiniteValue,
     SingularMatrix,
 )
-from ybe4 import linalg
 from ybe4.families import hietarinta_candidates
 from ybe4.linalg import (
     DEFAULT_TOL,
@@ -434,60 +433,6 @@ def test_cluster_merge_takes_subsets_in_combinations_order():
     assert got[0, 0] == pytest.approx(chain[:5].mean(), abs=1e-15)
     assert got[1, 0] == 1.3 and np.all(got[1, 1:] == got[1, 1])
     assert got[1, 1] == pytest.approx(chain[1:].mean(), abs=1e-15)
-
-
-def _merge_walking_every_row(roots, scale):
-    """Reference: the cluster merge walking every index subset on every
-    row, with no exit for rows that have no close pair."""
-    out = np.array(roots, dtype=complex)
-    n = out.shape[-1]
-    rows = out.reshape(-1, n)
-    scale = np.reshape(scale, -1)
-    dist = np.abs(rows[:, :, None] - rows[:, None, :])
-    merged = np.zeros(rows.shape, dtype=bool)
-    for m, members, i, j in linalg._subsets(n):
-        allow = (linalg._CLUSTER_RADIUS.get(m, 2e-2) * scale)[:, None, None]
-        tight = (dist[:, i, j] <= allow).all(axis=2)
-        for c in np.flatnonzero(tight.any(axis=0)):
-            idx = members[c]
-            hit = tight[:, c] & ~merged[:, idx].any(axis=1)
-            if hit.any():
-                cell = np.ix_(hit, idx)
-                rows[cell] = rows[cell].mean(axis=1, keepdims=True)
-                merged[cell] = True
-    return out
-
-
-def test_cluster_merge_skipping_rows_without_close_pairs_is_bitwise():
-    rng = np.random.default_rng(53)
-    inputs = [SWAP, stack_of_mixed_spectra(), np.zeros((4, 4))]
-    for c, (B, _) in zip((1e-120, 1e-3, 1.0, 1e5, 1e140), JORDAN_STRUCTURES * 2):
-        S = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) + 3.0 * np.eye(4)
-        inputs.append(c * S @ B @ np.linalg.inv(S))
-    for cand in hietarinta_candidates():
-        draws = cand.samples(rng, 20)
-        S = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) + 3.0 * np.eye(4)
-        inputs += [draws, S @ draws @ np.linalg.inv(S)]
-    for _ in range(300):
-        n = int(rng.integers(1, 9))
-        shape = tuple(rng.integers(1, 4, size=rng.integers(0, 3))) + (n, n)
-        scale = 10.0 ** rng.uniform(-5, 5)
-        inputs.append(scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
-    pairs = [(np.linalg.eigvals(A), np.abs(A).max(axis=(-2, -1))) for A in inputs]
-    # roots scattered round a few centres at about each multiplicity's radius,
-    # so that rows on both sides of every threshold come up
-    for _ in range(300):
-        n = int(rng.integers(2, 9))
-        centres = rng.normal(size=n) + 1j * rng.normal(size=n)
-        roots = centres[rng.integers(0, rng.integers(1, n + 1), size=(5, n))]
-        spread = rng.choice([5e-6, 5e-4, 8e-3, 2e-2]) * rng.uniform(0.2, 1.5)
-        roots = roots + spread * np.exp(2j * np.pi * rng.random((5, n)))
-        pairs.append((roots, np.ones(5)))
-    pairs.append((np.zeros((0, 4), dtype=complex), np.zeros(0)))
-    for roots, scale in pairs:
-        got = linalg._merge_root_clusters(roots, scale)
-        want = _merge_walking_every_row(roots, scale)
-        assert got.tobytes() == want.tobytes()
 
 
 def test_non_convergence_carries_root_residual_and_bound(monkeypatch):
