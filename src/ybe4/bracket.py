@@ -32,7 +32,17 @@ from .errors import (
     DimensionError,
     PreconditionFailed,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _numeric, frobenius, inverse, kron
+from .linalg import (
+    DEFAULT_TOL,
+    NUMBER_TYPES,
+    Tolerance,
+    _numeric,
+    check_instance,
+    check_real,
+    frobenius,
+    inverse,
+    kron,
+)
 
 __all__ = [
     "BracketParams",
@@ -50,7 +60,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BracketParams:
-    """Unitary seed parameters: radial weight r in [0,1] and phases g and p.
+    """Unitary seed parameters: radial weight r in [0,1] and phases g and p,
+    each a finite real number.
 
     alpha is not a parameter: the unitary subfamily has alpha = i throughout
     (see unitary_bracket_family); bracket_R takes a general alpha.
@@ -61,6 +72,8 @@ class BracketParams:
     p: float = 0.0
 
     def __post_init__(self):
+        for name in ("r", "g", "p"):
+            check_real(name, getattr(self, name))
         if not 0.0 <= self.r <= 1.0:
             raise ConstraintViolation(f"r = {self.r} outside [0, 1]")
 
@@ -80,6 +93,7 @@ def loop_value(N: np.ndarray) -> complex:
 
 
 def _check_alpha(alpha: complex) -> None:
+    check_instance("alpha", alpha, NUMBER_TYPES, "a number")
     if alpha == 0:
         raise DegenerateParameter("alpha = 0: the skein relation needs alpha^-1")
 
@@ -131,6 +145,7 @@ def unitary_bracket_family(params: BracketParams) -> tuple[np.ndarray, np.ndarra
     range of r.  R is built with alpha = i, the only (up to sign) unit alpha
     whose demanded loop value matches the delta = 2 these seeds produce.
     """
+    check_instance("params", params, BracketParams)
     r, g, p = params.r, params.g, params.p
     off = 1j * np.sqrt(1.0 - r * r) * np.exp(0.5j * p)
     N = np.array(
@@ -204,6 +219,8 @@ def bracket_to_family(
     The scale of Q is a free choice, fixed to 1 here; Q^-1 is taken in
     closed form.  |M00| = r |M11|, so M is singular for r <= singular_tol.
     """
+    check_instance("params", params, BracketParams)
+    check_instance("tol", tol, Tolerance)
     if params.r <= tol.singular_tol:
         raise DegenerateParameter(f"r = {params.r} makes the diagonal seed M singular")
     N, R_hat = unitary_bracket_family(params)

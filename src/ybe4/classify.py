@@ -48,6 +48,8 @@ from .linalg import (
     _is_unitary,
     _numeric,
     as_square,
+    check_instance,
+    check_tolerance,
     dagger,
     frobenius,
     kron,
@@ -95,6 +97,7 @@ class TwoQubitState:
         return v[0] * v[3] - v[1] * v[2]
 
     def is_product(self, tol: float = 1e-9) -> bool:
+        check_tolerance("tol", tol)
         return abs(self.pair_determinant) <= tol
 
     def factors(self, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
@@ -241,8 +244,9 @@ def is_entangling_gate(
     normal S and c = tr(S) / 4, rho <= ||S - c I||_2 <= ||S - c I||_F, so a
     gate with ||S - c I||_F <= tol.singular_tol / 2 is not entangling and
     the spectrum is not computed; the half leaves the computed rho room for
-    rounding.
+    rounding.  Raises ConstraintViolation unless tol is a Tolerance.
     """
+    check_instance("tol", tol, Tolerance)
     G = _as_gate(G, tol)
     GM = dagger(_MAGIC) @ G @ _MAGIC
     S = GM.T @ GM
@@ -436,8 +440,9 @@ def classify(
     F1 stage finds first.  No member is ever tagged F2.  Inputs that are not
     unitary or not solutions (core.solution_check) are rejected with
     NotUnitary / NotASolution.  ``tol`` governs both checks and the
-    constraint checks on each certificate.
+    constraint checks on each certificate; it must be a Tolerance.
     """
+    check_instance("tol", tol, Tolerance)
     Rb = _as_gate(Rb, tol)
     resid, bound = solution_check(Rb, "braided", tol)
     if resid > bound:

@@ -30,6 +30,7 @@ entries, so braid_rep keeps its cap of 6 strands by default.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,16 @@ from .errors import (
     SingularMatrix,
     SizeExceeded,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_square, frobenius, inverse, kron
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_square,
+    check_instance,
+    frobenius,
+    integer_at_least,
+    inverse,
+    kron,
+)
 
 __all__ = [
     "swap_matrix",
@@ -58,7 +68,8 @@ __all__ = [
 
 
 def swap_matrix(d: int = 2) -> np.ndarray:
-    """The operator P(u (x) v) = v (x) u on C^d (x) C^d."""
+    """The operator P(u (x) v) = v (x) u on C^d (x) C^d, for an integer d >= 1."""
+    d = integer_at_least("d", d, 1)
     P = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):
@@ -114,12 +125,14 @@ def solution_check(
     unitary R, whose bound is residual_tol itself.  c R solves the equation
     whenever R does and its residual grows like c**3, so the bound grows
     with it above unit size.  Raises ConstraintViolation for an unknown
-    form and NonFiniteValue when the bound or the residual overflows.
+    form or a tol that is not a Tolerance, and NonFiniteValue when the bound
+    or the residual overflows.
     """
     if form not in ("braided", "algebraic"):
         raise ConstraintViolation(
             f"unknown form {form!r}, expected 'braided' or 'algebraic'"
         )
+    check_instance("tol", tol, Tolerance)
     R = as_square(R)
     scale = np.abs(R).max()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -186,18 +199,27 @@ def compose_with_swap(R: np.ndarray) -> np.ndarray:
 class BraidWord:
     """A word in braid group generators.
 
-    letters holds (generator index, exponent) pairs; generator i acts on
-    strands i, i+1 (1-based) and the exponent must be +1 or -1.  The empty
-    word is the identity braid.
+    letters holds (generator index, exponent) pairs of integers; generator i
+    acts on strands i, i+1 (1-based) and the exponent must be +1 or -1.  The
+    empty word is the identity braid.
     """
 
     n_strands: int
     letters: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.n_strands < 2:
-            raise ConstraintViolation("a braid needs at least 2 strands")
-        for idx, exp in self.letters:
+        integer_at_least("n_strands", self.n_strands, 2)
+        check_instance("letters", self.letters, (tuple, list), "a tuple of pairs")
+        for letter in self.letters:
+            if not (
+                isinstance(letter, (tuple, list))
+                and len(letter) == 2
+                and all(isinstance(v, numbers.Integral) for v in letter)
+            ):
+                raise ConstraintViolation(
+                    f"letters must be (generator, exponent) integer pairs, got {letter!r}"
+                )
+            idx, exp = letter
             if not 1 <= idx <= self.n_strands - 1:
                 raise ConstraintViolation(
                     f"generator index {idx} out of range for {self.n_strands} strands"
@@ -215,8 +237,9 @@ def braid_rep(R: np.ndarray, word: BraidWord, max_strands: int = 6) -> np.ndarra
     on the left by the transpose of R (or R^-1), d^(2n+2) multiply-adds,
     and no d^n x d^n generator is built.  The result still has d^n x d^n
     entries, so n is capped at ``max_strands``.  Inverse letters require R
-    to be invertible.
+    to be invertible.  Raises ConstraintViolation unless word is a BraidWord.
     """
+    check_instance("word", word, BraidWord)
     R = as_square(R)
     d = _split_dim(R)
     n = word.n_strands

@@ -31,7 +31,6 @@ flattened to a single circle.
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -43,12 +42,15 @@ import numpy as np
 from .errors import ConstraintViolation, DimensionError, NonConvergence, SingularMatrix
 from .linalg import (
     DEFAULT_TOL,
+    NUMBER_TYPES,
     Tolerance,
     _numeric,
     as_square,
+    check_instance,
     check_tolerance,
     dagger,
     eigenvalues,
+    integer_at_least,
     inverse,
     kron,
 )
@@ -82,7 +84,11 @@ _SQRT2 = np.sqrt(2)
 
 @dataclass(frozen=True, eq=False)
 class FamilySpec:
-    """A point in one of the five families: base pattern parameters, Q, and phase k."""
+    """A point in one of the five families: base pattern parameters, Q, and phase k.
+
+    k and the values of params must be numbers (numpy scalars are); they are
+    stored as given.
+    """
 
     family: str
     Q: np.ndarray
@@ -95,6 +101,10 @@ class FamilySpec:
         object.__setattr__(self, "Q", _numeric(self.Q))
         if self.Q.shape != (2, 2):
             raise DimensionError(f"Q must be 2x2, got {self.Q.shape}")
+        check_instance("k", self.k, NUMBER_TYPES, "a number")
+        check_instance("params", self.params, dict)
+        for name, value in self.params.items():
+            check_instance(name, value, NUMBER_TYPES, "a number")
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,8 +200,9 @@ def validate_spec(spec: FamilySpec, tol: Tolerance = DEFAULT_TOL) -> list[str]:
     Every test on Q is relative to its own scale (the Gram entries to their
     trace, the corners to max|Q|), so Q and c*Q get the same verdict, as
     they give the same member.  Raises ConstraintViolation unless spec is
-    a FamilySpec.
+    a FamilySpec and tol a Tolerance.
     """
+    check_instance("tol", tol, Tolerance)
     return _check_spec(spec, tol)[0]
 
 
@@ -270,10 +281,11 @@ def family_member(
 
     Raises ConstraintViolation when the spec breaks its family's constraints,
     which is exactly when the result would fail to be unitary, or is not a
-    FamilySpec.
+    FamilySpec, and when tol is not a Tolerance.
     """
     if form not in ("braided", "algebraic"):
         raise ConstraintViolation(f"unknown form {form!r}")
+    check_instance("tol", tol, Tolerance)
     violations, Qinv = _check_spec(spec, tol)
     if violations:
         raise ConstraintViolation(violations)
@@ -425,7 +437,7 @@ class CandidateRep:
         Raises ConstraintViolation unless rng is a numpy Generator and n an
         integer >= 0.
         """
-        n = _integer_at_least("n", n, 0)
+        n = integer_at_least("n", n, 0)
         rows = _draw_params(tuple(self.sampling.values()), n, _generator(rng))
         entries = self.entries  # sampling lists its parameters in order
         stack = np.array([entries(*row) for row in rows], dtype=complex)
@@ -434,10 +446,7 @@ class CandidateRep:
 
 def _generator(rng) -> np.random.Generator:
     """rng itself; ConstraintViolation unless it is a numpy Generator."""
-    if not isinstance(rng, np.random.Generator):
-        raise ConstraintViolation(
-            f"rng must be a numpy.random.Generator, got {type(rng).__name__}"
-        )
+    check_instance("rng", rng, np.random.Generator, "a numpy.random.Generator")
     return rng
 
 
@@ -598,17 +607,6 @@ def case_matrix(name: str, **params: complex) -> np.ndarray:
     return cand.build(**{lead: 1.0}, **{key: params.get(key, 1.0) for key in rest})
 
 
-def _integer_at_least(name: str, value, least: int) -> int:
-    """value as an int; ConstraintViolation unless it is an integer >= least."""
-    try:
-        number = operator.index(value)
-    except TypeError:
-        number = least - 1
-    if number < least:
-        raise ConstraintViolation(f"{name} must be an integer >= {least}, got {value!r}")
-    return number
-
-
 # Most draws checked in one stacked eigenvalues call; bounds the memory of a
 # run with many samples.  A run of n draws with no redraw makes
 # ceil(n / _FILTER_STACK) calls, and the draws do not depend on it.
@@ -643,8 +641,8 @@ def run_elimination(
     redraws included).
     """
     check_tolerance("rel_tol", rel_tol)
-    count = _integer_at_least("samples", samples, 1)
-    rng = np.random.default_rng(_integer_at_least("seed", seed, 0))
+    count = integer_at_least("samples", samples, 1)
+    rng = np.random.default_rng(integer_at_least("seed", seed, 0))
     inventory = hietarinta_candidates()
     attempts = [count if cand.sampling else 1 for cand in inventory]
     passes = [0] * len(inventory)

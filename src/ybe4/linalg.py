@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import combinations
@@ -73,16 +74,50 @@ def check_tolerance(name: str, value: float) -> None:
     either would turn each check into a silent wrong verdict; a string or a
     complex bound cannot be compared at all.
     """
-    if not isinstance(value, numbers.Real):
+    check_real(name, value, positive=True)
+
+
+# numbers.Real and numbers.Number, the common concrete types first: isinstance
+# tries a tuple in order, and an ABC check costs several times a concrete one
+_REAL_TYPES = (float, int, np.floating, np.integer, numbers.Real)
+NUMBER_TYPES = (complex, float, int, np.number, numbers.Number)
+
+
+def check_real(name: str, value, positive: bool = False) -> None:
+    """Raise ConstraintViolation unless value is a finite real number, and
+    > 0 when ``positive``."""
+    if not isinstance(value, _REAL_TYPES):
         raise ConstraintViolation(
             f"{name} must be a real number, got {type(value).__name__}"
         )
     try:
-        ok = math.isfinite(value) and value > 0
+        ok = math.isfinite(value) and (value > 0 or not positive)
     except OverflowError:  # an int past the float range
         ok = False
     if not ok:
-        raise ConstraintViolation(f"{name} must be finite and > 0, got {value!r}")
+        bound = "finite and > 0" if positive else "finite"
+        raise ConstraintViolation(f"{name} must be {bound}, got {value!r}")
+
+
+def check_instance(name: str, value, cls: type | tuple, what: str = "") -> None:
+    """Raise ConstraintViolation unless value is a cls, described as ``what``
+    (default: "a <class name>"); an object of the wrong type would otherwise
+    fail later, as a bare AttributeError or TypeError."""
+    if not isinstance(value, cls):
+        raise ConstraintViolation(
+            f"{name} must be {what or 'a ' + cls.__name__}, got {type(value).__name__}"
+        )
+
+
+def integer_at_least(name: str, value, least: int) -> int:
+    """value as an int; ConstraintViolation unless it is an integer >= least."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = least - 1
+    if number < least:
+        raise ConstraintViolation(f"{name} must be an integer >= {least}, got {value!r}")
+    return number
 
 
 DEFAULT_TOL = Tolerance()
@@ -161,6 +196,7 @@ def inverse(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     NonFiniteValue when the singular values or the inverse are not
     representable.
     """
+    check_instance("tol", tol, Tolerance)
     A = as_square(A)
     s = np.linalg.svd(A, compute_uv=False)
     if not math.isfinite(s[0]):
@@ -337,6 +373,7 @@ def eigenvalues(A: np.ndarray) -> np.ndarray:
 
 def is_unitary(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether A†A = I within tol; returns (verdict, Frobenius defect)."""
+    check_instance("tol", tol, Tolerance)
     return _is_unitary(as_square(A), tol)
 
 

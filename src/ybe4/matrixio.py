@@ -56,7 +56,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ParseError
-from .linalg import as_square
+from .linalg import _numeric, as_square
 
 __all__ = [
     "MATRIX_FILE_VERSION",
@@ -73,7 +73,7 @@ MATRIX_FILE_VERSION = "1"
 
 
 def matrix_to_rows(M: np.ndarray) -> list[list[list[float]]]:
-    M = np.asarray(M, dtype=complex)
+    M = _numeric(M)
     return np.stack([M.real, M.imag], -1).tolist()
 
 

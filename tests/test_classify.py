@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -347,43 +349,6 @@ def _bloch(theta, phi):
     return np.array([np.cos(theta), np.sin(theta) * np.exp(1j * phi)])
 
 
-def reference_witness_determinant(G, grid_points=9):
-    """Best output pair determinant found by a grid refined with Nelder-Mead.
-
-    This is the search the closed-form witness replaced; it stays here as
-    the reference the closed form must never fall below.
-    """
-    from scipy.optimize import minimize
-
-    thetas = np.linspace(0.0, np.pi / 2, grid_points)
-    phis = np.linspace(0.0, 2 * np.pi, grid_points, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    locals_ = np.stack(
-        [np.cos(tt).ravel(), (np.sin(tt) * np.exp(1j * pp)).ravel()], axis=1
-    )
-    states = np.einsum("ai,bj->abij", locals_, locals_).reshape(-1, 4)
-    out = states @ G.T
-    dets = np.abs(out[:, 0] * out[:, 3] - out[:, 1] * out[:, 2])
-    flat = int(np.argmax(dets))
-    ia, ib = divmod(flat, grid_points * grid_points)
-
-    def angles_of(index):
-        i, j = divmod(index, grid_points)
-        return float(thetas[i]), float(phis[j])
-
-    def negdet(x):
-        psi = G @ np.kron(_bloch(x[0], x[1]), _bloch(x[2], x[3]))
-        return -abs(psi[0] * psi[3] - psi[1] * psi[2])
-
-    res = minimize(
-        negdet,
-        np.array(angles_of(ia) + angles_of(ib)),
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 600},
-    )
-    return max(-res.fun, dets[flat])
-
-
 def random_unitary_4(rng):
     Z = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / np.sqrt(2)
     Q, R = np.linalg.qr(Z)
@@ -430,16 +395,51 @@ WITNESS_INPUTS = {
 }
 
 
+# The test's own magic basis, apart from the library's: the columns
+# (|00>+|11>)/sqrt2, (|01>-|10>)/sqrt2, i(|01>+|10>)/sqrt2 and
+# i(|00>-|11>)/sqrt2, so that B a has pair determinant a^T a / 2.
+BELL_BASIS = np.array(
+    [[1, 0, 0, 1j], [0, 1, 1j, 0], [0, -1, 1j, 0], [1, 0, 0, -1j]]
+) / np.sqrt(2)
+
+
+def smallest_circle_radius(points):
+    """Radius of the smallest circle around the points, by brute force.
+
+    That circle has two of the points as a diameter or passes through three
+    of them.  Every candidate centre c bounds the radius from above by
+    max |p - c|, and the true centre is among the candidates, so the least
+    bound is the radius.
+    """
+    centres = [(a + b) / 2 for a, b in combinations(points, 2)]
+    for a, b, c in combinations(points, 3):
+        u, v = b - a, c - a
+        denom = np.conj(u) * v - u * np.conj(v)
+        if denom != 0:  # the circumcentre of a, b and c
+            centres.append(a + (abs(u) ** 2 * v - abs(v) ** 2 * u) / denom)
+    return min(np.abs(points - c).max() for c in centres)
+
+
+def best_product_output_determinant(G):
+    """rho / 2, the largest output pair determinant over product inputs, with
+    rho the radius of the smallest circle around the eigenvalues of
+    S = G_M^T G_M (Kraus and Cirac, PRA 63, 062309, 2001)."""
+    GM = BELL_BASIS.conj().T @ G @ BELL_BASIS
+    return smallest_circle_radius(np.linalg.eigvals(GM.T @ GM)) / 2
+
+
 @pytest.mark.parametrize("source", sorted(WITNESS_INPUTS))
-def test_closed_form_witness_never_below_reference_search(source):
+def test_witness_attains_closed_form_optimum(source):
     for G in WITNESS_INPUTS[source]():
         report = is_entangling_gate(G)
         assert report.entangling
         w = report.witness
-        assert w.output_pair_determinant >= reference_witness_determinant(G) - 1e-12
         assert abs(w.state.pair_determinant) <= 1e-12
         out = G @ w.state.vec
         out_det = abs(out[0] * out[3] - out[1] * out[2])
+        # in both directions: no product input does better, and the witness
+        # is not short of the optimum
+        assert abs(out_det - best_product_output_determinant(G)) <= 1e-12
         assert abs(out_det - w.output_pair_determinant) <= 1e-12
         rebuilt = np.kron(_bloch(*w.angles[:2]), _bloch(*w.angles[2:]))
         phase = np.vdot(rebuilt, w.state.vec)

@@ -526,6 +526,22 @@ def test_all_inventory_candidates_solve_algebraic_equation():
             assert algebraic_residual(M) < 1e-10 * scale, cand.name
 
 
+def test_inventory_residuals_vanish_exactly_at_gaussian_integers():
+    # with real and imaginary parts in -6..6 every entry, and every term of
+    # both residuals, is an integer far below 2^53, so each residual is
+    # computed exactly; each residual entry is a polynomial of degree <= 6
+    # in the parameters, so a nonzero one survives a random point of the
+    # 13-value grid with probability >= 7/13 (Schwartz-Zippel), and 200
+    # points all miss it with probability (6/13)^200 < 1e-67
+    rng = np.random.default_rng(72)
+    for cand in hietarinta_candidates():
+        parts = rng.integers(-6, 7, size=(200, len(cand.sampling), 2))
+        for point in parts.tolist():
+            R = cand.build(*(complex(re, im) for re, im in point))
+            assert algebraic_residual(R) == 0.0, (cand.name, point)
+            assert braided_residual(R @ SWAP) == 0.0, (cand.name, point)
+
+
 def test_eigenvalue_filter_accepts_unit_spectra():
     assert eigenvalue_filter(SWAP)
     assert eigenvalue_filter(np.diag([1, 1j, -1, -1j]).astype(complex))
