@@ -244,9 +244,11 @@ def is_entangling_gate(
     normal S and c = tr(S) / 4, rho <= ||S - c I||_2 <= ||S - c I||_F, so a
     gate with ||S - c I||_F <= tol.singular_tol / 2 is not entangling and
     the spectrum is not computed; the half leaves the computed rho room for
-    rounding.  Raises ConstraintViolation unless tol is a Tolerance.
+    rounding.  Raises ConstraintViolation unless tol is a Tolerance and
+    witness a bool.
     """
     check_instance("tol", tol, Tolerance)
+    check_instance("witness", witness, (bool, np.bool_), "a bool")
     G = _as_gate(G, tol)
     GM = dagger(_MAGIC) @ G @ _MAGIC
     S = GM.T @ GM

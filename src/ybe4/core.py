@@ -179,7 +179,7 @@ def contraction_residual(R: np.ndarray, form: str = "braided") -> float:
     """
     R = as_square(R)
     d = _split_dim(R)
-    if form not in _CONTRACTIONS:
+    if not isinstance(form, str) or form not in _CONTRACTIONS:
         raise ConstraintViolation(
             f"unknown form {form!r}, expected 'braided' or 'algebraic'"
         )
@@ -237,9 +237,11 @@ def braid_rep(R: np.ndarray, word: BraidWord, max_strands: int = 6) -> np.ndarra
     on the left by the transpose of R (or R^-1), d^(2n+2) multiply-adds,
     and no d^n x d^n generator is built.  The result still has d^n x d^n
     entries, so n is capped at ``max_strands``.  Inverse letters require R
-    to be invertible.  Raises ConstraintViolation unless word is a BraidWord.
+    to be invertible.  Raises ConstraintViolation unless word is a BraidWord
+    and max_strands an integer >= 2.
     """
     check_instance("word", word, BraidWord)
+    max_strands = integer_at_least("max_strands", max_strands, 2)
     R = as_square(R)
     d = _split_dim(R)
     n = word.n_strands

@@ -7,11 +7,12 @@ scale-free test: a smallest singular value at most ``singular_tol`` times
 the largest surfaces as SingularMatrix.  Eigenvalue roots come from
 LAPACK; where they cluster (relative to the matrix scale) each cluster is
 replaced by its mean, an exact multiple root, and every root is checked
-against the independently computed Faddeev-LeVerrier characteristic
-polynomial, so a root that does not solve it surfaces as NonConvergence
-instead of silent garbage.  ``char_poly`` and ``eigenvalues`` also take a
-stack of shape (..., n, n) and treat each matrix exactly as they treat it
-alone; a single matrix is a stack with no leading axes.
+against the characteristic polynomial, computed without LAPACK from the
+power traces tr A^k by Newton's identities, so a root that does not solve
+it surfaces as NonConvergence instead of silent garbage.  ``char_poly``
+and ``eigenvalues`` also take a stack of shape (..., n, n) and treat each
+matrix exactly as they treat it alone; a single matrix is a stack with no
+leading axes.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ NUMBER_TYPES = (complex, float, int, np.number, numbers.Number)
 
 def check_real(name: str, value, positive: bool = False) -> None:
     """Raise ConstraintViolation unless value is a finite real number, and
-    > 0 when ``positive``."""
-    if not isinstance(value, _REAL_TYPES):
+    > 0 when ``positive``; a bool is not taken as the number 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
         raise ConstraintViolation(
             f"{name} must be a real number, got {type(value).__name__}"
         )
@@ -110,12 +111,13 @@ def check_instance(name: str, value, cls: type | tuple, what: str = "") -> None:
 
 
 def integer_at_least(name: str, value, least: int) -> int:
-    """value as an int; ConstraintViolation unless it is an integer >= least."""
+    """value as an int; ConstraintViolation unless it is an integer >= least
+    (a bool is not taken as the integer 0 or 1)."""
     try:
         number = operator.index(value)
     except TypeError:
         number = least - 1
-    if number < least:
+    if number < least or isinstance(value, bool):
         raise ConstraintViolation(f"{name} must be an integer >= {least}, got {value!r}")
     return number
 
@@ -141,6 +143,13 @@ def _square(obj, stack: bool) -> np.ndarray:
     if not np.isfinite(A).all():
         raise NonFiniteValue("matrix contains non-finite entries")
     return A
+
+
+def _require_entries(A: np.ndarray) -> None:
+    """DimensionError for 0 x 0 matrices, which have no eigenvalue, no
+    singular value and no max|A| to scale by."""
+    if A.shape[-1] == 0:
+        raise DimensionError(f"expected at least a 1 x 1 matrix, got shape {A.shape}")
 
 
 def _numeric(obj, dtype=complex) -> np.ndarray:
@@ -194,10 +203,11 @@ def inverse(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     normal float range the result is bitwise LAPACK's inverse of A, and
     near the ends of the range the elimination cannot overflow.  Raises
     NonFiniteValue when the singular values or the inverse are not
-    representable.
+    representable, and DimensionError for a 0 x 0 matrix.
     """
     check_instance("tol", tol, Tolerance)
     A = as_square(A)
+    _require_entries(A)
     s = np.linalg.svd(A, compute_uv=False)
     if not math.isfinite(s[0]):
         raise NonFiniteValue("singular values of the matrix overflow")
@@ -224,26 +234,36 @@ def inverse(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def char_poly(A: np.ndarray) -> np.ndarray:
-    """Characteristic polynomial det(lambda*I - A) by the Faddeev-LeVerrier recursion.
+    """Characteristic polynomial det(lambda*I - A) from power traces.
 
     Returns monic coefficients in descending powers, so a dim-4 input
-    yields five numbers (1, c3, c2, c1, c0).  A stack of shape (..., n, n)
-    yields shape (..., n + 1).  Each step forms one stacked product AM = A @ M
-    and reads both c_k = -tr(AM) / k and the next M = AM + c_k I from it;
-    the first step's M is I, so its AM is A itself, and the last M (zero,
-    by Cayley-Hamilton) is never formed.
+    yields five numbers (1, c1, c2, c3, c4).  A stack of shape (..., n, n)
+    yields shape (..., n + 1).  The power sums p_k = tr A^k, k = 1..n, come
+    from A, A^2, ..., A^h with h = ceil(n/2), one stacked matmul per power
+    past A (one in all at n = 4): p_1 = tr A, and for k >= 2 p_k is the sum
+    of the entries of A^i * (A^j)^T with i = ceil(k/2) and j = k - i.
+    Newton's identities k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1)
+    then give the coefficients.  Every input is computed as a stack of
+    shape (-1, n, n), so a single matrix takes exactly the array
+    arithmetic of one row of a stack.  Nothing here calls LAPACK.
     """
     A = _square(A, stack=True)
-    n = A.shape[-1]
-    eye = np.eye(n, dtype=complex)
-    coeffs = np.zeros(A.shape[:-2] + (n + 1,), dtype=complex)
-    coeffs[..., 0] = 1.0
-    AM = A
+    lead, n = A.shape[:-2], A.shape[-1]
+    rows = math.prod(lead)
+    powers = [A.reshape(rows, n, n)]
+    for _ in range(1, (n + 1) // 2):
+        powers.append(powers[-1] @ powers[0])
+    p = [np.einsum("rii->r", powers[0])]
+    for k in range(2, n + 1):
+        i = (k + 1) // 2
+        p.append(np.einsum("rab,rba->r", powers[i - 1], powers[k - i - 1]))
+    coeffs = np.ones((n + 1, rows), dtype=complex)
     for k in range(1, n + 1):
-        coeffs[..., k] = -np.trace(AM, axis1=-2, axis2=-1) / k
-        if k < n:
-            AM = A @ (AM + coeffs[..., k, None, None] * eye)
-    return coeffs
+        total = p[k - 1]
+        for j in range(1, k):
+            total = total + coeffs[j] * p[k - j - 1]
+        coeffs[k] = -total / k
+    return coeffs.T.reshape(lead + (n + 1,))
 
 
 # Computed roots of an m-fold eigenvalue scatter in a ring of radius about
@@ -265,40 +285,85 @@ def _merge_root_clusters(roots: np.ndarray, scale: np.ndarray) -> np.ndarray:
     Algebraic Eigenvalue Problem, 1965).  The mean replaces every member in
     place, so the roots keep the order LAPACK gave them.
 
-    ``roots`` has shape (..., n) and ``scale`` the leading shape.  Each
-    index subset is one array step over all rows, taken in the same
-    largest-first ``combinations`` order, and a per-row mask keeps a root
-    in at most one cluster.
+    ``roots`` has shape (..., n) and ``scale`` the leading shape.  The
+    pairwise distances are compared with every radius in one step, which
+    gives each row a "tight" bit per index subset.  The clusters a row
+    merges depend only on those bits (_merge_plan), so the plan is made
+    once per distinct pattern, and each cluster's mean is taken from the
+    unmerged roots, one gather per cluster size.
     """
     out = np.array(roots, dtype=complex)
     n = out.shape[-1]
+    if n < 2 or not out.size:  # no pair of roots
+        return out
     rows = out.reshape(-1, n)
-    scale = np.reshape(scale, -1)
-    dist = np.abs(rows[:, :, None] - rows[:, None, :])
-    merged = np.zeros(rows.shape, dtype=bool)
-    for m, members, i, j in _subsets(n):
-        allow = (_CLUSTER_RADIUS.get(m, 2e-2) * scale)[:, None, None]
-        tight = (dist[:, i, j] <= allow).all(axis=2)
-        for c in np.flatnonzero(tight.any(axis=0)):
-            idx = members[c]
-            hit = tight[:, c] & ~merged[:, idx].any(axis=1)
-            if hit.any():
-                cell = np.ix_(hit, idx)
-                rows[cell] = rows[cell].mean(axis=1, keepdims=True)
-                merged[cell] = True
+    radius, ends, pairs, _ = _cluster_tables(n)
+    # one column per row from here on, so every step loops over the rows
+    cols = rows.T
+    dist = np.abs(cols[ends[0]] - cols[ends[1]])
+    close = dist <= radius * np.reshape(scale, -1)
+    tight = close.reshape(-1, len(rows))[pairs].all(axis=1)
+    patterns = np.packbits(tight, axis=0)
+    # rows sorted by pattern (a lexsort of the packed bytes; np.unique over
+    # rows cost more than the rest of the merge): each run of equal
+    # patterns shares one plan
+    order = np.lexsort(patterns)
+    keys = patterns.T[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    bounds = np.flatnonzero(first).tolist() + [len(order)]
+    base = order[:, None, None] * n  # flat index of each sorted row's root 0
+    clusters: dict = {}
+    for start, stop in zip(bounds, bounds[1:]):
+        for idx in _merge_plan(n, keys[start].tobytes()):
+            m = idx.shape[1]
+            clusters.setdefault(m, []).append((base[start:stop] + idx).reshape(-1, m))
+    flat = out.reshape(-1)
+    for parts in clusters.values():
+        cell = np.concatenate(parts)
+        flat[cell] = flat[cell].mean(axis=1, keepdims=True)
     return out
 
 
 @lru_cache
-def _subsets(n: int) -> tuple:
-    """(m, members, i, j) for m = n..2: the m-subsets of range(n) in
-    ``combinations`` order, and the ends i, j of each subset's pairs."""
-    out = []
-    for m in range(n, 1, -1):
-        members = np.array(list(combinations(range(n), m)))
-        pairs = np.array([list(combinations(idx, 2)) for idx in members])
-        out.append((m, members, pairs[..., 0], pairs[..., 1]))
-    return tuple(out)
+def _cluster_tables(n: int) -> tuple:
+    """(radius, ends, pairs, subsets) for the cluster search on n >= 2 roots.
+
+    subsets lists the m-subsets of range(n) for m = n..2, largest first and
+    each size in ``combinations`` order.  ends holds the two ends of each
+    pair i < j, in ``combinations`` order.  radius[m - 2] is the radius for
+    size m, shaped to broadcast over the (pairs, rows) distances; row s of
+    pairs holds the indices of subset s's pairs in the resulting (radii *
+    pairs, rows) mask, padded with its first pair."""
+    subsets = [idx for m in range(n, 1, -1) for idx in combinations(range(n), m)]
+    radius = np.array([_CLUSTER_RADIUS.get(m, 2e-2) for m in range(2, n + 1)])
+    ends = list(combinations(range(n), 2))
+    width = len(ends)
+    pairs = np.zeros((len(subsets), width), dtype=np.intp)
+    for s, idx in enumerate(subsets):
+        flat = [(len(idx) - 2) * width + ends.index(pair) for pair in combinations(idx, 2)]
+        pairs[s] = flat + flat[:1] * (width - len(flat))
+    return radius[:, None, None], np.array(ends).T, pairs, subsets
+
+
+@lru_cache(maxsize=4096)
+def _merge_plan(n: int, pattern: bytes) -> tuple:
+    """The clusters that a row of n roots merges, given its tight bits packed
+    in ``pattern``: each tight subset in _cluster_tables order that shares
+    no root with a cluster taken before it.  One read-only (clusters, m)
+    index array per cluster size m, largest first."""
+    tight = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8)).tolist()
+    *_, subsets = _cluster_tables(n)
+    taken: set = set()
+    by_size: dict = {}
+    for bit, idx in zip(tight, subsets):
+        if bit and taken.isdisjoint(idx):
+            by_size.setdefault(len(idx), []).append(idx)
+            taken.update(idx)
+    plan = tuple(np.array(group) for group in by_size.values())
+    for idx in plan:
+        idx.flags.writeable = False
+    return plan
 
 
 def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -316,7 +381,7 @@ def eigenvalues(A: np.ndarray) -> np.ndarray:
     roots are then merged into exact multiple roots at their mean (see
     _merge_root_clusters), which keeps defective spectra exact, and every
     root z must satisfy |p(z)| <= 1e-8 * sum_i |c_i| max(max|A|, |z|)^(n-i)
-    for the Faddeev-LeVerrier characteristic polynomial p with coefficients
+    for the characteristic polynomial p of ``char_poly`` with coefficients
     c_i; the bound scales like p itself under A -> c*A, so the check is as
     strict at every scale.  The check runs on A and the roots times one
     exact power of two per matrix, near 1/max|A| and clamped as in
@@ -328,9 +393,11 @@ def eigenvalues(A: np.ndarray) -> np.ndarray:
 
     A stack of shape (..., n, n) gives roots of shape (..., n), each row
     computed and checked as that matrix alone would be; the error then
-    names the first failing matrix in row-major order as ``index``.
+    names the first failing matrix in row-major order as ``index``.  A
+    0 x 0 matrix raises DimensionError.
     """
     A = _square(A, stack=True)
+    _require_entries(A)
     n = A.shape[-1]
     scale = np.abs(A).max(axis=(-2, -1))
     roots = _merge_root_clusters(np.linalg.eigvals(A), scale)

@@ -1,6 +1,7 @@
-"""Arguments of the wrong type at the public entry points outside the filter
-path: each is a ConstraintViolation named after the parameter, never a bare
-AttributeError, TypeError or numpy error from deeper down."""
+"""Arguments of the wrong type at the public entry points: each is a
+ConstraintViolation named after the parameter, never a bare AttributeError,
+TypeError or numpy error from deeper down.  A 0 x 0 matrix, where a function
+needs at least one entry, is a DimensionError."""
 
 from __future__ import annotations
 
@@ -20,14 +21,21 @@ from ybe4.classify import TwoQubitState, classify, is_entangling_gate, is_produc
 from ybe4.core import (
     BraidWord,
     braid_rep,
+    contraction_residual,
     is_algebraic_solution,
     is_braided_solution,
     solution_check,
     swap_matrix,
 )
-from ybe4.errors import ConstraintViolation
-from ybe4.families import FamilySpec, family_member, validate_spec
-from ybe4.linalg import inverse, is_unitary
+from ybe4.errors import ConstraintViolation, DimensionError
+from ybe4.families import (
+    FamilySpec,
+    eigenvalue_filter,
+    family_member,
+    run_elimination,
+    validate_spec,
+)
+from ybe4.linalg import Tolerance, char_poly, eigenvalues, inverse, is_unitary
 from ybe4.matrixio import matrix_to_rows
 
 SWAP = swap_matrix(2)
@@ -81,6 +89,20 @@ CASES = [
         "q must be a number, got str",
     ),
     (lambda: FamilySpec("F1", I2, k="a"), "k must be a number, got str"),
+    (
+        lambda: braid_rep(SWAP, BraidWord(3, ((1, 1),)), max_strands="6"),
+        "max_strands must be an integer >= 2, got '6'",
+    ),
+    (
+        lambda: contraction_residual(SWAP, ["braided"]),
+        "unknown form ['braided'], expected 'braided' or 'algebraic'",
+    ),
+    (lambda: is_entangling_gate(SWAP, witness="no"), "witness must be a bool, got str"),
+    # a bool is not a number here
+    (lambda: Tolerance(eq_tol=True), "eq_tol must be a real number, got bool"),
+    (lambda: BracketParams(r=True), "r must be a real number, got bool"),
+    (lambda: run_elimination(samples=True), "samples must be an integer >= 1, got True"),
+    (lambda: swap_matrix(True), "d must be an integer >= 1, got True"),
 ]
 
 
@@ -88,6 +110,28 @@ CASES = [
 def test_wrong_argument_types_are_constraint_violations(call, message):
     with pytest.raises(ConstraintViolation, match=f"^{re.escape(message)}$"):
         call()
+
+
+EMPTY = "expected at least a 1 x 1 matrix, got shape "
+
+EMPTY_CASES = [
+    (lambda: eigenvalues(np.zeros((0, 0))), EMPTY + "(0, 0)"),
+    (lambda: eigenvalues(np.zeros((3, 0, 0))), EMPTY + "(3, 0, 0)"),
+    (lambda: eigenvalue_filter(np.zeros((0, 0))), EMPTY + "(0, 0)"),
+    (lambda: inverse(np.zeros((0, 0))), EMPTY + "(0, 0)"),
+]
+
+
+@pytest.mark.parametrize("call, message", EMPTY_CASES)
+def test_empty_matrices_are_dimension_errors(call, message):
+    with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_char_poly_of_an_empty_matrix_is_one():
+    # det of the 0 x 0 matrix x I - A is the empty product
+    assert char_poly(np.zeros((0, 0))).tolist() == [1]
+    assert char_poly(np.zeros((3, 0, 0))).tolist() == [[1], [1], [1]]
 
 
 def test_spec_fields_are_stored_as_given():

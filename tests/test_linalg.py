@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ybe4 import families
 from ybe4.errors import (
     ConstraintViolation,
     DimensionError,
@@ -19,6 +23,7 @@ from ybe4.families import hietarinta_candidates
 from ybe4.linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _merge_root_clusters,
     as_square,
     char_poly,
     dagger,
@@ -386,6 +391,17 @@ def test_char_poly_and_eigenvalues_take_stacks():
     for idx in np.ndindex(2, 3):
         assert np.array_equal(coeffs[idx], char_poly(stack[idx]))
         assert np.array_equal(roots[idx], eigenvalues(stack[idx]))
+    rng = np.random.default_rng(31)
+    for n in range(1, 9):
+        for lead in [(), (1,), (0,), (2, 3)]:
+            shape = lead + (n, n)
+            A = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            A *= 10.0 ** rng.uniform(-3, 3)
+            coeffs, roots = char_poly(A), eigenvalues(A)
+            assert coeffs.shape == lead + (n + 1,) and roots.shape == lead + (n,)
+            for idx in np.ndindex(lead):
+                assert np.array_equal(coeffs[idx], char_poly(A[idx]))
+                assert np.array_equal(roots[idx], eigenvalues(A[idx]))
     with pytest.raises(DimensionError):
         eigenvalues(np.ones((2, 3, 4)))
     with pytest.raises(DimensionError):
@@ -406,7 +422,9 @@ def _char_poly_two_products(A):
     return coeffs
 
 
-def test_char_poly_one_product_per_step_is_bitwise():
+def _char_poly_inputs():
+    """SWAP, the mixed stack, 55 inventory draws as one stack and 300 random
+    stacks with n = 2..8, up to two leading axes and scales 1e-5..1e5."""
     rng = np.random.default_rng(47)
     inputs = [SWAP, stack_of_mixed_spectra()]
     inputs.append(
@@ -417,9 +435,125 @@ def test_char_poly_one_product_per_step_is_bitwise():
         shape = tuple(rng.integers(1, 4, size=rng.integers(0, 3))) + (n, n)
         scale = 10.0 ** rng.uniform(-5, 5)
         inputs.append(scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape)))
-    for A in inputs:
-        A = np.asarray(A, dtype=complex)
-        assert char_poly(A).tobytes() == _char_poly_two_products(A).tobytes()
+    return [np.asarray(A, dtype=complex) for A in inputs]
+
+
+def test_char_poly_matches_the_recursion_to_rounding():
+    # power traces and Newton's identities against Faddeev-LeVerrier: the
+    # coefficients differ in rounding only.  Measured on these 303 inputs:
+    # |c_k - c_k(ref)| <= 3.9e-16 * ||A||_F^k at most; the bound is 1e-15
+    for A in _char_poly_inputs():
+        got, want = char_poly(A), _char_poly_two_products(A)
+        norm = np.linalg.norm(A, axis=(-2, -1))[..., None]
+        powers = norm ** np.arange(A.shape[-1] + 1)
+        assert np.all(np.abs(got - want) <= 1e-15 * powers)
+
+
+def _exact_char_poly(A):
+    """det(x I - A) by the Faddeev-LeVerrier recursion in exact Gaussian
+    rationals: real and imaginary parts as object arrays of Fractions."""
+    n = len(A)
+    re, im = (np.vectorize(Fraction, otypes=[object])(part) for part in (A.real, A.imag))
+    eye = np.eye(n, dtype=int).astype(object)
+    coeffs = [(Fraction(1), Fraction(0))]
+    Mr, Mi = eye, 0 * eye
+    for k in range(1, n + 1):
+        ARr, ARi = re @ Mr - im @ Mi, re @ Mi + im @ Mr
+        c = (-np.trace(ARr) / k, -np.trace(ARi) / k)
+        coeffs.append(c)
+        Mr, Mi = ARr + c[0] * eye, ARi + c[1] * eye
+    return coeffs
+
+
+def test_char_poly_is_exact_on_gaussian_integer_matrices():
+    # entries a + bi with |a|, |b| <= 2: every entry of A^k, every sum of
+    # products in a power trace and every Newton term is a Gaussian integer
+    # below 2**50 (checked below), so the float computation must be exact,
+    # whatever the summation order
+    rng = np.random.default_rng(53)
+    for n in range(1, 9):
+        A = rng.integers(-2, 3, size=(3, n, n)) + 1j * rng.integers(-2, 3, size=(3, n, n))
+        got = char_poly(A)
+        for row, M in zip(got, A):
+            exact = _exact_char_poly(M)
+            coeff = max(abs(re) + abs(im) for re, im in exact)
+            power = [np.linalg.matrix_power(M, k) for k in range(n + 1)]
+            entry = max(np.abs(P).max() for P in power[: (n + 3) // 2])
+            trace = max(abs(np.trace(P)) for P in power)
+            assert 2 * n * n * entry**2 < 2**50 and 2 * n * coeff * trace < 2**50
+            assert [(Fraction(c.real), Fraction(c.imag)) for c in row] == exact
+
+
+# The subset walk of the earlier merge, kept as the reference for the plan
+# made once per tight pattern; its radii are written out here, so a change
+# to linalg's table shows up as a mismatch
+_REFERENCE_RADIUS = {2: 5e-6, 3: 5e-4, 4: 8e-3}
+
+
+def _merge_reference(roots, scale):
+    out = np.array(roots, dtype=complex)
+    n = out.shape[-1]
+    rows = out.reshape(-1, n)
+    scale = np.reshape(scale, -1)
+    dist = np.abs(rows[:, :, None] - rows[:, None, :])
+    merged = np.zeros(rows.shape, dtype=bool)
+    for m in range(n, 1, -1):
+        members = np.array(list(combinations(range(n), m)))
+        pairs = np.array([list(combinations(idx, 2)) for idx in members])
+        i, j = pairs[..., 0], pairs[..., 1]
+        allow = (_REFERENCE_RADIUS.get(m, 2e-2) * scale)[:, None, None]
+        tight = (dist[:, i, j] <= allow).all(axis=2)
+        for c in np.flatnonzero(tight.any(axis=0)):
+            idx = members[c]
+            hit = tight[:, c] & ~merged[:, idx].any(axis=1)
+            if hit.any():
+                cell = np.ix_(hit, idx)
+                rows[cell] = rows[cell].mean(axis=1, keepdims=True)
+                merged[cell] = True
+    return out
+
+
+def _near_ties(rng, n, c):
+    """n roots of modulus about c in clusters round 1..n centres, each
+    cluster of radius 1e-7..5e-2 times c, and a scale of 0.5c..2c."""
+    centres = c * np.exp(2j * np.pi * rng.random(rng.integers(1, n + 1)))
+    label = rng.integers(0, len(centres), size=n)
+    radius = c * 10.0 ** rng.uniform(-7, -1.3, size=(len(centres), 1))
+    if rng.random() < 0.5:  # every member on the circle round its centre
+        phase = (np.arange(n) / n + rng.random(len(centres))[:, None])[label, np.arange(n)]
+        offset = radius[label, 0] * np.exp(2j * np.pi * phase)
+    else:
+        offset = radius[label, 0] * rng.random(n) * np.exp(2j * np.pi * rng.random(n))
+    return centres[label] + offset, c * rng.uniform(0.5, 2)
+
+
+def test_cluster_merge_matches_the_subset_walk_bitwise():
+    rng = np.random.default_rng(61)
+    for n in range(1, 9):
+        for c in 10.0 ** np.linspace(-150, 150, 7):
+            sets = [_near_ties(rng, n, c) for _ in range(40)]
+            roots = np.array([r for r, _ in sets]).reshape(4, 10, n)
+            scale = np.array([s for _, s in sets]).reshape(4, 10)
+            got = _merge_root_clusters(roots, scale)
+            assert got.tobytes() == _merge_reference(roots, scale).tobytes()
+            assert n == 1 or (got != roots).any()
+
+
+def test_cluster_merge_matches_the_subset_walk_on_filter_stacks(monkeypatch):
+    stacks = []
+    verdicts = families._filter_verdicts
+
+    def keep(M, rel_tol):
+        stacks.append(M)
+        return verdicts(M, rel_tol)
+
+    monkeypatch.setattr(families, "_filter_verdicts", keep)
+    for seed in range(50):
+        families.run_elimination(20, seed)
+    for M in stacks:
+        roots, scale = np.linalg.eigvals(M), np.abs(M).max(axis=(-2, -1))
+        got = _merge_root_clusters(roots, scale)
+        assert got.tobytes() == _merge_reference(roots, scale).tobytes()
 
 
 def test_cluster_merge_takes_subsets_in_combinations_order():
