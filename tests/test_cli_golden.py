@@ -2,9 +2,10 @@
 
 `cli_reports.json` holds, per case, the exit code and the parsed stdout
 report of `generate` (families 1-5, three members, seed 7, matrices
-inline), of `classify` and `verify --form both` on member files written
-from those pinned matrices (so their input digests are stable), and of
-`bracket --emit-family` at two (r, g, p) points.
+inline), of `generate` from explicit `--params` for families 1, 3 and 5,
+of `classify` and `verify --form both` on member files written from those
+pinned matrices (so their input digests are stable), and of `bracket` at
+two (r, g, p) points, with and without `--emit-family`.
 
 Everything that is not a float (keys, verdicts, tags, messages, check
 names, digests, exit codes) must match exactly.  A float x must agree
@@ -36,6 +37,7 @@ GOLDEN = Path(__file__).parent / "golden" / "cli_reports.json"
 FAMILIES = range(1, 6)
 MEMBERS = 3
 BRACKET_POINTS = (("0.37", "0", "0"), ("0.5", "0.3", "1.1"))
+EXPLICIT_PARAMS = (("1", "p=1,q=1,r=1,Q=I"), ("3", "p=1j,q=-1j"), ("5", "k=1j"))
 FLOAT_RTOL = 1e-12
 
 
@@ -45,15 +47,19 @@ def _cases() -> dict[str, list[str]]:
         cases[f"generate F{f}"] = [
             "generate", "--family", str(f), "--count", str(MEMBERS), "--seed", "7"
         ]
+    for f, params in EXPLICIT_PARAMS:
+        cases[f"generate F{f} --params {params}"] = [
+            "generate", "--family", f, "--params", params
+        ]
     for f in FAMILIES:
         for i in range(MEMBERS):
             path = _member_path(f, i)
             cases[f"classify {path}"] = ["classify", path]
             cases[f"verify {path}"] = ["verify", path, "--form", "both"]
     for r, g, p in BRACKET_POINTS:
-        cases[f"bracket r={r} g={g} p={p}"] = [
-            "bracket", "--r", r, "--g", g, "--p", p, "--emit-family"
-        ]
+        argv = ["bracket", "--r", r, "--g", g, "--p", p]
+        cases[f"bracket r={r} g={g} p={p}"] = argv + ["--emit-family"]
+        cases[f"bracket r={r} g={g} p={p} seed only"] = argv
     return cases
 
 
