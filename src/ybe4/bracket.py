@@ -34,10 +34,10 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    NUMBER_TYPES,
     Tolerance,
     _numeric,
     check_instance,
+    check_number,
     check_real,
     frobenius,
     inverse,
@@ -46,7 +46,6 @@ from .linalg import (
 
 __all__ = [
     "BracketParams",
-    "SkeinTriple",
     "BracketReduction",
     "odot",
     "loop_value",
@@ -89,11 +88,12 @@ def odot(N: np.ndarray, K: np.ndarray) -> np.ndarray:
 
 def loop_value(N: np.ndarray) -> complex:
     """delta = entrywise-product sum of N and N^-1 (no transpose, no conjugate)."""
-    return SkeinTriple.from_seed(N).delta
+    N = _numeric(N)
+    return complex(np.sum(N * inverse(N)))
 
 
 def _check_alpha(alpha: complex) -> None:
-    check_instance("alpha", alpha, NUMBER_TYPES, "a number")
+    check_number("alpha", alpha)
     if alpha == 0:
         raise DegenerateParameter("alpha = 0: the skein relation needs alpha^-1")
 
@@ -104,36 +104,16 @@ def skein_delta(alpha: complex) -> complex:
     return -(alpha**2 + alpha**-2)
 
 
-@dataclass(frozen=True, eq=False)
-class SkeinTriple:
-    """A seed N together with U = N (.) N^-1 and its loop value."""
-
-    N: np.ndarray
-    U: np.ndarray
-    delta: complex
-
-    @classmethod
-    def from_seed(cls, N: np.ndarray) -> "SkeinTriple":
-        N = _numeric(N)
-        Ninv = inverse(N)
-        return cls(N=N, U=odot(N, Ninv), delta=complex(np.sum(N * Ninv)))
-
-    def idempotency_defect(self) -> float:
-        """Frobenius norm of U^2 - delta U; zero up to rounding, always."""
-        return frobenius(self.U @ self.U - self.delta * self.U)
-
-
 def bracket_R(alpha: complex, N: np.ndarray) -> np.ndarray:
-    """R = alpha I + alpha^-1 (N (.) N^-1).
+    """R = alpha I + alpha^-1 U with U = N (.) N^-1.
 
-    Solves the braided equation exactly when loop_value(N) equals
-    skein_delta(alpha); that consistency is the caller's to check (see
-    SkeinTriple), not enforced here.  alpha = 0 raises DegenerateParameter.
+    Solves the braided equation exactly when loop_value(N) = tr U equals
+    skein_delta(alpha); that consistency is the caller's to check, not
+    enforced here.  alpha = 0 raises DegenerateParameter.
     """
     _check_alpha(alpha)
-    U = SkeinTriple.from_seed(N).U
-    dim = U.shape[0]
-    return alpha * np.eye(dim, dtype=complex) + U / alpha
+    U = odot(N, inverse(N))
+    return alpha * np.eye(U.shape[0], dtype=complex) + U / alpha
 
 
 def unitary_bracket_family(params: BracketParams) -> tuple[np.ndarray, np.ndarray]:

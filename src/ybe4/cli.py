@@ -6,6 +6,13 @@ numbers takes --seed, falling back to the YBE4_SEED environment variable
 and then to 0, so repeated runs are byte-identical.  classify also takes
 --seed and records it in its report; its result does not depend on it.
 
+Each command takes only the tolerance flags it reads: verify --res-tol;
+generate, classify and bracket --eq-tol and --res-tol; filter neither (its
+bound is --rel-tol).  A report's "tolerances" block is the Tolerance the
+command ran under.  generate --params reads k, Q=I and the family's own
+parameters as key=value pairs; families names those and refuses an unknown
+or missing one (exit 4).
+
 verify and classify read their matrix file once, and the report's
 inputs.sha256 is the digest of the bytes they parsed; generate --out-dir
 gives each member the digest of the bytes it wrote and never reads the
@@ -15,6 +22,10 @@ the report's verdict.
 Every residual check on the equation takes its bound from
 core.solution_check: residual_tol * max(1, max|M|)**3, which is --res-tol
 itself for a unitary M.
+
+bracket's "loop value is 2" and "projector relation" checks read U = I + i R
+and its loop value tr U off the solution R = i I + U / i it reports, so
+they certify the matrix it emits.
 
 Exit codes: 0 pass, 1 check failed, 2 parse error (or a non-finite value,
 such as a residual that overflows, or a matrix file that cannot be read),
@@ -33,7 +44,7 @@ import sys
 
 import numpy as np
 
-from .bracket import BracketParams, SkeinTriple, bracket_to_family, unitary_bracket_family
+from .bracket import BracketParams, bracket_to_family, unitary_bracket_family
 from .classify import classify, is_entangling_gate
 from .core import contraction_residual, solution_check
 from .errors import (
@@ -46,7 +57,13 @@ from .errors import (
     ParseError,
     Ybe4Error,
 )
-from .families import FamilySpec, family_member, random_family_spec, run_elimination
+from .families import (
+    FAMILY_NAMES,
+    FamilySpec,
+    family_member,
+    random_family_spec,
+    run_elimination,
+)
 from .linalg import DEFAULT_TOL, Tolerance, frobenius, is_unitary
 from .matrixio import (
     _read_matrix_bytes,
@@ -91,8 +108,16 @@ def _seed(args) -> int:
     return seed
 
 
+# Tolerance field -> (flag, help); a command takes only the flags it reads
+_TOL_FLAGS = {
+    "eq_tol": ("--eq-tol", "equality tolerance for constraint checks"),
+    "residual_tol": ("--res-tol", "residual tolerance for equation checks"),
+}
+
+
 def _tolerance(args) -> Tolerance:
-    return Tolerance(eq_tol=args.eq_tol, residual_tol=args.res_tol)
+    """The Tolerance of the flags the command took, defaults for the rest."""
+    return Tolerance(**{field: getattr(args, field) for field in _TOL_FLAGS if field in args})
 
 
 def _require_finite(name: str, value) -> None:
@@ -130,7 +155,7 @@ def _base_report(command: str, args, **extra) -> dict:
     report = {
         "version": REPORT_VERSION,
         "command": command,
-        "tolerances": {"eq_tol": args.eq_tol, "residual_tol": args.res_tol},
+        "tolerances": {"eq_tol": args.tol.eq_tol, "residual_tol": args.tol.residual_tol},
     }
     report.update(extra)
     if "verdict" not in report:
@@ -173,12 +198,8 @@ def _cmd_verify(args) -> dict:
     )
 
 
-_EXPLICIT_KEYS = {"F1": ("p", "q", "r"), "F3": ("p", "q")}
-
-
 def _explicit_spec(family: str, text: str) -> FamilySpec:
     params: dict[str, complex] = {}
-    k = 1.0 + 0.0j
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -195,14 +216,8 @@ def _explicit_spec(family: str, text: str) -> FamilySpec:
         except ValueError:
             raise ParseError(f"cannot parse {key}={value!r} as a complex number") from None
         _require_finite(key, parsed)
-        if key == "k":
-            k = parsed
-        elif key in _EXPLICIT_KEYS.get(family, ()):
-            params[key] = parsed
-        else:
-            raise ConstraintViolation(
-                f"family {family} takes no explicit parameter {key!r}"
-            )
+        params[key] = parsed
+    k = params.pop("k", 1.0 + 0.0j)
     return FamilySpec(family=family, Q=np.eye(2, dtype=complex), k=k, params=params)
 
 
@@ -216,11 +231,11 @@ def _spec_payload(spec: FamilySpec) -> dict:
 
 
 def _cmd_generate(args) -> dict:
-    if not 1 <= args.family <= 5:
+    family = f"F{args.family}"
+    if family not in FAMILY_NAMES:
         raise ConstraintViolation(f"--family must be 1..5, got {args.family}")
     if args.count < 1:
         raise ConstraintViolation(f"--count must be >= 1, got {args.count}")
-    family = f"F{args.family}"
     seed = _seed(args)
     tol = args.tol
     rng = np.random.default_rng(seed)
@@ -320,8 +335,9 @@ def _cmd_bracket(args) -> dict:
         N, R = red.N, red.R_hat
     else:
         N, R = unitary_bracket_family(params)
-    triple = SkeinTriple.from_seed(N)
-    U, delta = triple.U, triple.delta
+    # R = i I + U / i, so the checks below read U and its loop value off R
+    U = np.eye(4) + 1j * R
+    delta = complex(np.trace(U))
     _, r_defect = is_unitary(R, tol)
     checks = [
         _check("seed inverse-conjugate", frobenius(np.conj(N) @ N - np.eye(2)), 1e-12),
@@ -355,19 +371,12 @@ def _cmd_bracket(args) -> dict:
     return _base_report("bracket", args, checks=checks, **payload)
 
 
-def _add_tol_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--eq-tol",
-        type=float,
-        default=DEFAULT_TOL.eq_tol,
-        help="equality tolerance for constraint checks",
-    )
-    sub.add_argument(
-        "--res-tol",
-        type=float,
-        default=DEFAULT_TOL.residual_tol,
-        help="residual tolerance for equation checks",
-    )
+def _add_tol_flags(sub: argparse.ArgumentParser, *fields: str) -> None:
+    for field in fields:
+        flag, help_text = _TOL_FLAGS[field]
+        sub.add_argument(
+            flag, dest=field, type=float, default=getattr(DEFAULT_TOL, field), help=help_text
+        )
 
 
 def _add_seed_flag(sub: argparse.ArgumentParser) -> None:
@@ -394,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="braided",
         help="which equation form(s) to check",
     )
-    _add_tol_flags(p_verify)
+    _add_tol_flags(p_verify, "residual_tol")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_gen = sub.add_parser("generate", help="emit verified members of a family")
@@ -403,20 +412,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--params",
         default=None,
-        help="explicit parameters, e.g. p=1,q=1,r=1,Q=I (random when omitted)",
+        help="key=value pairs: k, Q=I and the family's parameters (random when omitted)",
     )
     p_gen.add_argument(
         "--form", choices=("braided", "algebraic"), default="braided"
     )
     p_gen.add_argument("--out-dir", default=None, help="write matrix files here")
     _add_seed_flag(p_gen)
-    _add_tol_flags(p_gen)
+    _add_tol_flags(p_gen, "eq_tol", "residual_tol")
     p_gen.set_defaults(func=_cmd_generate)
 
     p_cls = sub.add_parser("classify", help="family tag and entanglement verdict")
     p_cls.add_argument("path", help="matrix file (JSON, dim 4)")
     _add_seed_flag(p_cls)
-    _add_tol_flags(p_cls)
+    _add_tol_flags(p_cls, "eq_tol", "residual_tol")
     p_cls.set_defaults(func=_cmd_classify)
 
     p_flt = sub.add_parser(
@@ -430,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative spread allowed between eigenvalue moduli",
     )
     _add_seed_flag(p_flt)
-    _add_tol_flags(p_flt)
     p_flt.set_defaults(func=_cmd_filter)
 
     p_brk = sub.add_parser("bracket", help="skein-relation seed and its solution")
@@ -443,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also reduce to the anti-diagonal family (needs r > 0)",
     )
     p_brk.add_argument("--out-dir", default=None, help="write matrix files here")
-    _add_tol_flags(p_brk)
+    _add_tol_flags(p_brk, "eq_tol", "residual_tol")
     p_brk.set_defaults(func=_cmd_bracket)
 
     return parser
@@ -486,11 +494,7 @@ def main(argv=None) -> int:
         args.tol = _tolerance(args)
         report = args.func(args)
     except Ybe4Error as exc:
-        for err_type, code in _ERROR_EXIT:
-            if isinstance(exc, err_type):
-                break
-        else:
-            code = 1
+        code = next((code for kind, code in _ERROR_EXIT if isinstance(exc, kind)), 1)
         error_report = {
             "version": REPORT_VERSION,
             "command": args.command,

@@ -42,11 +42,11 @@ import numpy as np
 from .errors import ConstraintViolation, DimensionError, NonConvergence, SingularMatrix
 from .linalg import (
     DEFAULT_TOL,
-    NUMBER_TYPES,
     Tolerance,
     _numeric,
     as_square,
     check_instance,
+    check_number,
     check_tolerance,
     dagger,
     eigenvalues,
@@ -74,7 +74,9 @@ __all__ = [
     "run_elimination",
 ]
 
-FAMILY_NAMES = ("F1", "F2", "F3", "F4", "F5")
+# each family's base-pattern parameters, in the order a missing one is reported
+_FAMILY_PARAMS = {"F1": ("p", "q", "r"), "F2": (), "F3": ("p", "q"), "F4": (), "F5": ()}
+FAMILY_NAMES = tuple(_FAMILY_PARAMS)
 
 _SWAP = swap_matrix(2)  # read-only; family_representative hands out fresh copies
 
@@ -86,8 +88,8 @@ _SQRT2 = np.sqrt(2)
 class FamilySpec:
     """A point in one of the five families: base pattern parameters, Q, and phase k.
 
-    k and the values of params must be numbers (numpy scalars are); they are
-    stored as given.
+    k and the values of params must be numbers (numpy scalars are, a bool
+    is not), stored as given; validate_spec checks the names in params.
     """
 
     family: str
@@ -101,10 +103,10 @@ class FamilySpec:
         object.__setattr__(self, "Q", _numeric(self.Q))
         if self.Q.shape != (2, 2):
             raise DimensionError(f"Q must be 2x2, got {self.Q.shape}")
-        check_instance("k", self.k, NUMBER_TYPES, "a number")
+        check_number("k", self.k)
         check_instance("params", self.params, dict)
         for name, value in self.params.items():
-            check_instance(name, value, NUMBER_TYPES, "a number")
+            check_number(name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,13 +173,13 @@ def _f2_params(Q: np.ndarray, tol: Tolerance) -> tuple[complex, complex]:
 def family_representative(spec: FamilySpec) -> np.ndarray:
     """The base algebraic-form pattern R for this spec, from its inventory builder.
 
-    Raises ConstraintViolation when spec is not a FamilySpec or an F1 or F3
-    spec lacks a parameter.
+    Raises ConstraintViolation when spec is not a FamilySpec or its params
+    do not hold exactly its family's parameters.
     """
-    try:
-        return _representative(_as_spec(spec), DEFAULT_TOL)
-    except KeyError as err:
-        raise ConstraintViolation(f"{spec.family} needs parameter {err.args[0]}") from None
+    violations = _param_violations(_as_spec(spec))
+    if violations:
+        raise ConstraintViolation(violations)
+    return _representative(spec, DEFAULT_TOL)
 
 
 def _representative(spec: FamilySpec, tol: Tolerance) -> np.ndarray:
@@ -218,13 +220,21 @@ def _as_spec(spec) -> FamilySpec:
     return spec
 
 
+def _param_violations(spec: FamilySpec) -> list[str]:
+    """Missing parameters in _FAMILY_PARAMS order, then unknown names sorted."""
+    fam, names = spec.family, _FAMILY_PARAMS[spec.family]
+    missing = [f"{fam} needs parameter {n}" for n in names if n not in spec.params]
+    unknown = sorted(spec.params.keys() - names, key=str)
+    return missing + [f"{fam} takes no parameter {n!r}" for n in unknown]
+
+
 def _check_spec(
     spec: FamilySpec, tol: Tolerance
 ) -> tuple[list[str], np.ndarray | None]:
     """(validate_spec's violations, Q^-1), with Q^-1 None when Q is singular;
     ConstraintViolation unless spec is a FamilySpec."""
-    out: list[str] = []
-    Q = _as_spec(spec).Q
+    out = _param_violations(_as_spec(spec))
+    Q = spec.Q
     try:
         Qinv = inverse(Q, tol)
     except SingularMatrix:
@@ -239,9 +249,7 @@ def _check_spec(
     fam, pa = spec.family, spec.params
     if fam == "F1":
         for name in ("p", "q", "r"):
-            if name not in pa:
-                out.append(f"F1 needs parameter {name}")
-            elif _misses(abs(pa[name]), 1.0, tol.eq_tol):
+            if name in pa and _misses(abs(pa[name]), 1.0, tol.eq_tol):
                 out.append(f"|{name}| = {abs(pa[name]):.6g} is not 1")
         if not z_small:
             out.append(f"F1 needs Gram off-diagonal zero, got |z| = {abs(z):.3g}")
@@ -257,9 +265,8 @@ def _check_spec(
         else:
             want_p = abs(d) ** 2 / abs(a) ** 2
             for name, want in (("p", want_p), ("q", 1.0 / want_p)):
-                if name not in pa:
-                    out.append(f"F3 needs parameter {name}")
-                elif _misses(abs(pa[name]), want, tol.eq_tol * max(1.0, want)):
+                bound = tol.eq_tol * max(1.0, want)
+                if name in pa and _misses(abs(pa[name]), want, bound):
                     out.append(
                         f"|{name}| = {abs(pa[name]):.6g} differs from forced modulus "
                         f"{want:.6g}"
@@ -279,9 +286,9 @@ def family_member(
 ) -> np.ndarray:
     """Construct k (Q(x)Q) R (Q(x)Q)^-1 P (braided) or the same without P (algebraic).
 
-    Raises ConstraintViolation when the spec breaks its family's constraints,
-    which is exactly when the result would fail to be unitary, or is not a
-    FamilySpec, and when tol is not a Tolerance.
+    Raises ConstraintViolation when the spec breaks its family's constraints
+    (each validate_spec violation but a parameter name makes the result
+    non-unitary), or is not a FamilySpec, and when tol is not a Tolerance.
     """
     if form not in ("braided", "algebraic"):
         raise ConstraintViolation(f"unknown form {form!r}")

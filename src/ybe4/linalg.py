@@ -81,7 +81,7 @@ def check_tolerance(name: str, value: float) -> None:
 # numbers.Real and numbers.Number, the common concrete types first: isinstance
 # tries a tuple in order, and an ABC check costs several times a concrete one
 _REAL_TYPES = (float, int, np.floating, np.integer, numbers.Real)
-NUMBER_TYPES = (complex, float, int, np.number, numbers.Number)
+_NUMBER_TYPES = (complex, float, int, np.number, numbers.Number)
 
 
 def check_real(name: str, value, positive: bool = False) -> None:
@@ -98,6 +98,13 @@ def check_real(name: str, value, positive: bool = False) -> None:
     if not ok:
         bound = "finite and > 0" if positive else "finite"
         raise ConstraintViolation(f"{name} must be {bound}, got {value!r}")
+
+
+def check_number(name: str, value) -> None:
+    """Raise ConstraintViolation unless value is a number (numpy scalars
+    are); a bool is not taken as the number 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBER_TYPES):
+        raise ConstraintViolation(f"{name} must be a number, got {type(value).__name__}")
 
 
 def check_instance(name: str, value, cls: type | tuple, what: str = "") -> None:

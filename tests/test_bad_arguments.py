@@ -103,6 +103,13 @@ CASES = [
     (lambda: BracketParams(r=True), "r must be a real number, got bool"),
     (lambda: run_elimination(samples=True), "samples must be an integer >= 1, got True"),
     (lambda: swap_matrix(True), "d must be an integer >= 1, got True"),
+    (lambda: FamilySpec("F1", I2, k=True), "k must be a number, got bool"),
+    (
+        lambda: FamilySpec("F1", I2, params={"p": True, "q": 1, "r": 1}),
+        "p must be a number, got bool",
+    ),
+    (lambda: skein_delta(True), "alpha must be a number, got bool"),
+    (lambda: bracket_R(True, I2), "alpha must be a number, got bool"),
 ]
 
 

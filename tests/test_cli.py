@@ -13,6 +13,8 @@ import pytest
 import ybe4
 from ybe4.cli import main
 from ybe4.core import swap_matrix
+from ybe4.errors import NonConvergence
+from ybe4.linalg import inverse
 from ybe4.matrixio import read_matrix_file, write_matrix_file
 
 HADA = np.array(
@@ -264,6 +266,40 @@ def test_generate_rejects_unknown_param(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("4", "p=2", "F4 takes no parameter 'p'"),
+        ("1", "p=1,q=1,r=1,s=1", "F1 takes no parameter 's'"),
+        ("3", "p=1j", "F3 needs parameter q"),
+    ],
+)
+def test_generate_params_are_checked_by_the_library(capsys, family, params, message):
+    # the message is validate_spec's own
+    code, report, _ = run(capsys, "generate", "--family", family, "--params", params)
+    assert code == 4
+    assert report["error"] == {"type": "ConstraintViolation", "message": message}
+
+
+def test_generate_params_k_and_empty_chunks(capsys):
+    code, report, _ = run(capsys, "generate", "--family", "5", "--params", " k=1j ,, ")
+    assert code == 0
+    assert report["members"][0]["spec"]["k"] == [0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ("k", "--params entries look like key=value, got 'k'"),
+        ("Q=X", "only Q=I is expressible on the command line"),
+    ],
+)
+def test_generate_params_syntax_is_a_parse_error(capsys, params, message):
+    code, report, _ = run(capsys, "generate", "--family", "5", "--params", params)
+    assert code == 2
+    assert report["error"] == {"type": "ParseError", "message": message}
+
+
 def test_classify_fixed_points(capsys, fixtures):
     for name, family, entangling in (
         ("identity", "F5", False),
@@ -467,6 +503,56 @@ def test_usage_error_exits_two(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "identity", "--eq-tol", "1e-3"),
+        ("filter", "--samples", "1", "--eq-tol", "1e-3"),
+        ("filter", "--samples", "1", "--res-tol", "1e-3"),
+    ],
+)
+def test_tolerance_flags_a_command_never_reads_are_usage_errors(capsys, fixtures, argv):
+    argv = [fixtures.get(arg, arg) for arg in argv]
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_reports_record_the_tolerance_the_command_ran_under(capsys, fixtures):
+    code, report, _ = run(capsys, "verify", fixtures["identity"], "--res-tol", "1e-6")
+    assert code == 0
+    # verify takes no --eq-tol; its block records the default
+    assert report["tolerances"] == {"eq_tol": 1e-9, "residual_tol": 1e-6}
+
+
+def test_unlisted_ybe4_error_exits_one(capsys, monkeypatch):
+    def no_convergence(**kwargs):
+        raise NonConvergence("R11 draw 0: root residual 1e-3 exceeds 1e-9")
+
+    monkeypatch.setattr("ybe4.cli.run_elimination", no_convergence)
+    code, report, err = run(capsys, "filter", "--samples", "1")
+    assert code == 1
+    assert report["error"]["type"] == "NonConvergence"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra, inversions", [((), 1), (("--emit-family",), 2)])
+def test_bracket_inverts_each_seed_once(capsys, monkeypatch, extra, inversions):
+    # N for the solution, and M too when the reduction runs; the checks read
+    # U and the loop value off the solution instead of inverting N again
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inverse(*args, **kwargs)
+
+    monkeypatch.setattr("ybe4.bracket.inverse", counting)
+    code, report, _ = run(capsys, "bracket", "--r", "0.5", *extra)
+    assert code == 0
+    assert len(calls) == inversions
+    names = [check["name"] for check in report["checks"]]
+    assert "loop value is 2" in names and "projector relation" in names
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,8 @@ MATRIX_FILES = {
     "missing": (2, 2),
     "bigint": (2, 2),
     "bool": (2, 2),
+    "no_rows": (2, 2),
+    "metadata_list": (2, 2),
     "directory": (2, 2),
     "not_utf8": (2, 2),
 }
@@ -47,6 +49,10 @@ def write_case(tmp_path, name):
         # one 1x1 entry that json reads as a Python int or bool, not a float
         value = "1" + "0" * 400 if name == "bigint" else "true"
         path.write_text(f'{{"version": "1", "dim": 1, "rows": [[[{value}, 0]]]}}')
+    elif name == "no_rows":
+        path.write_text('{"version": "1", "dim": 4}')
+    elif name == "metadata_list":
+        path.write_text('{"version": "1", "dim": 1, "rows": [[[1, 0]]], "metadata": []}')
     elif name == "directory":
         path.mkdir()
     elif name == "not_utf8":

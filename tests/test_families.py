@@ -114,6 +114,27 @@ def test_representative_missing_parameter_is_typed():
     assert "F3 needs parameter q" in validate_spec(spec)
 
 
+def test_unknown_parameter_is_a_violation():
+    spec = FamilySpec("F4", np.eye(2), params={"p": 2})
+    assert validate_spec(spec) == ["F4 takes no parameter 'p'"]
+    for build in (family_member, family_representative):
+        with pytest.raises(ConstraintViolation, match="^F4 takes no parameter 'p'$"):
+            build(spec)
+    # missing names in the family's order, then unknown ones sorted
+    spec = FamilySpec("F1", np.eye(2), params={"s": 1, "q": 1, "a": 1})
+    assert validate_spec(spec) == [
+        "F1 needs parameter p",
+        "F1 needs parameter r",
+        "F1 takes no parameter 'a'",
+        "F1 takes no parameter 's'",
+    ]
+
+
+def test_f3_needs_nonvanishing_corners():
+    spec = FamilySpec("F3", [[0, 1], [1, 0]], params={"p": 1, "q": 1})
+    assert "F3 needs nonvanishing corner entries a, d" in validate_spec(spec)
+
+
 def test_f2_params_forced_by_shear():
     Q = np.array([[1, 1], [0, 1]], dtype=complex)
     p, q = f2_params(Q)
