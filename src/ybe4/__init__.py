@@ -4,156 +4,29 @@ Construction of the five solution families, residual-based verification,
 an eigenvalue filter for scanning candidate inventories, entanglement
 classification of the resulting two-qubit gates, and the Kauffman-bracket
 skein subfamily.
+
+The package exports the ``__all__`` of errors, linalg, core, families,
+classify and bracket, in that order, plus the matrix-file reader and writer
+and ``__version__``; each module's ``__all__`` is the only list of its
+public names.  ``ybe4.classify`` is the function, not the module.
 """
 
-from .bracket import (
-    BracketParams,
-    BracketReduction,
-    bracket_R,
-    bracket_to_family,
-    delta_lower_bound,
-    loop_value,
-    odot,
-    skein_delta,
-    unitary_bracket_family,
-)
-from .classify import (
-    ClassificationResult,
-    GateEntanglementReport,
-    ProductWitness,
-    TwoQubitState,
-    classify,
-    is_entangling_gate,
-    is_product_state,
-    realign,
-)
-from .core import (
-    BraidWord,
-    algebraic_residual,
-    braid_rep,
-    braided_residual,
-    compose_with_swap,
-    contraction_residual,
-    is_algebraic_solution,
-    is_braided_solution,
-    solution_check,
-    swap_matrix,
-)
-from .errors import (
-    ConstraintViolation,
-    DegenerateParameter,
-    DimensionError,
-    EntangledState,
-    NonConvergence,
-    NonFiniteValue,
-    NotASolution,
-    NotUnitary,
-    ParseError,
-    PreconditionFailed,
-    SingularMatrix,
-    SizeExceeded,
-    Ybe4Error,
-    ZeroState,
-)
-from .families import (
-    FAMILY_NAMES,
-    CandidateRep,
-    FamilySpec,
-    GramData,
-    case_matrix,
-    d_matrix,
-    eigenvalue_filter,
-    f2_params,
-    family_member,
-    family_representative,
-    gram,
-    hietarinta_candidates,
-    random_family_spec,
-    run_elimination,
-    validate_spec,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    char_poly,
-    dagger,
-    eigenvalues,
-    frobenius,
-    inverse,
-    is_unitary,
-    kron,
-)
+from importlib import import_module
+
+from .errors import *
+from .linalg import *
+from .core import *
+from .families import *
+from .classify import *
+from .bracket import *
 from .matrixio import read_matrix_file, write_matrix_file
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ybe4Error",
-    "SingularMatrix",
-    "NonConvergence",
-    "SizeExceeded",
-    "ConstraintViolation",
-    "NotUnitary",
-    "NotASolution",
-    "PreconditionFailed",
-    "DegenerateParameter",
-    "ParseError",
-    "DimensionError",
-    "NonFiniteValue",
-    "ZeroState",
-    "EntangledState",
-    "Tolerance",
-    "DEFAULT_TOL",
-    "kron",
-    "dagger",
-    "frobenius",
-    "inverse",
-    "char_poly",
-    "eigenvalues",
-    "is_unitary",
-    "swap_matrix",
-    "braided_residual",
-    "algebraic_residual",
-    "contraction_residual",
-    "solution_check",
-    "is_braided_solution",
-    "is_algebraic_solution",
-    "compose_with_swap",
-    "BraidWord",
-    "braid_rep",
-    "FAMILY_NAMES",
-    "FamilySpec",
-    "GramData",
-    "gram",
-    "d_matrix",
-    "f2_params",
-    "family_representative",
-    "validate_spec",
-    "family_member",
-    "random_family_spec",
-    "eigenvalue_filter",
-    "CandidateRep",
-    "hietarinta_candidates",
-    "case_matrix",
-    "run_elimination",
-    "TwoQubitState",
-    "is_product_state",
-    "realign",
-    "ProductWitness",
-    "GateEntanglementReport",
-    "is_entangling_gate",
-    "ClassificationResult",
-    "classify",
-    "BracketParams",
-    "BracketReduction",
-    "odot",
-    "loop_value",
-    "skein_delta",
-    "bracket_R",
-    "unitary_bracket_family",
-    "delta_lower_bound",
-    "bracket_to_family",
-    "read_matrix_file",
-    "write_matrix_file",
-    "__version__",
-]
+    name
+    for module in ("errors", "linalg", "core", "families", "classify", "bracket")
+    for name in import_module(f".{module}", __name__).__all__
+] + ["read_matrix_file", "write_matrix_file", "__version__"]
+
+del import_module  # only needed to build __all__

@@ -58,6 +58,8 @@ from .errors import (
     Ybe4Error,
 )
 from .families import (
+    _FILTER_REL_TOL,
+    _FILTER_SAMPLES,
     FAMILY_NAMES,
     FamilySpec,
     family_member,
@@ -76,6 +78,9 @@ from .matrixio import (
 __all__ = ["main", "build_parser"]
 
 REPORT_VERSION = "1"
+
+# verify and classify read operators on C^2 (x) C^2 only
+_SOLUTION_DIM = 4
 
 _ERROR_EXIT = (
     (ParseError, 2),
@@ -139,13 +144,12 @@ def _write_out(path: str, M: np.ndarray, metadata: dict) -> bytes:
         raise ConstraintViolation(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
-def _load_solution_file(path: str, want_dim: int = 4):
-    """(M, metadata, inputs record) from one read of a dim x dim matrix file."""
+def _load_solution_file(path: str):
+    """(M, metadata, inputs record) from one read of a 4x4 matrix file."""
     M, metadata, data = _read_matrix_bytes(path)
-    if M.shape[0] != want_dim:
-        raise DimensionError(
-            f"{path}: need a {want_dim}x{want_dim} matrix, got {M.shape[0]}x{M.shape[0]}"
-        )
+    n, d = M.shape[0], _SOLUTION_DIM
+    if n != d:
+        raise DimensionError(f"{path}: need a {d}x{d} matrix, got {n}x{n}")
     return M, metadata, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
@@ -431,11 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_flt = sub.add_parser(
         "filter", help="eigenvalue-modulus elimination over the candidate inventory"
     )
-    p_flt.add_argument("--samples", type=int, default=1000)
+    p_flt.add_argument("--samples", type=int, default=_FILTER_SAMPLES)
     p_flt.add_argument(
         "--rel-tol",
         type=float,
-        default=1e-6,
+        default=_FILTER_REL_TOL,
         help="relative spread allowed between eigenvalue moduli",
     )
     _add_seed_flag(p_flt)

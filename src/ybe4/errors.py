@@ -2,6 +2,23 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "Ybe4Error",
+    "SingularMatrix",
+    "NonConvergence",
+    "SizeExceeded",
+    "ConstraintViolation",
+    "NotUnitary",
+    "NotASolution",
+    "PreconditionFailed",
+    "DegenerateParameter",
+    "ParseError",
+    "DimensionError",
+    "NonFiniteValue",
+    "ZeroState",
+    "EntangledState",
+]
+
 
 class Ybe4Error(Exception):
     """Base class for all errors raised by this package."""

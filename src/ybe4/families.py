@@ -386,7 +386,12 @@ def random_family_spec(family: str, rng: np.random.Generator) -> FamilySpec:
     raise ConstraintViolation(f"unknown family {family!r}")
 
 
-def eigenvalue_filter(M: np.ndarray, rel_tol: float = 1e-6) -> bool:
+# the filter's defaults, also those of ybe4 filter --rel-tol and --samples
+_FILTER_REL_TOL = 1e-6
+_FILTER_SAMPLES = 1000
+
+
+def eigenvalue_filter(M: np.ndarray, rel_tol: float = _FILTER_REL_TOL) -> bool:
     """Whether every eigenvalue of M has the same modulus, within rel_tol.
 
     A solution that can be rescaled to unitary must have its spectrum on one
@@ -621,7 +626,7 @@ _FILTER_STACK = 1024
 
 
 def run_elimination(
-    samples: int = 1000, seed: int = 0, rel_tol: float = 1e-6
+    samples: int = _FILTER_SAMPLES, seed: int = 0, rel_tol: float = _FILTER_REL_TOL
 ) -> dict[str, dict]:
     """Push random draws of every inventory candidate through the filter.
 

@@ -1,7 +1,8 @@
 """Arguments of the wrong type at the public entry points: each is a
 ConstraintViolation named after the parameter, never a bare AttributeError,
 TypeError or numpy error from deeper down.  A 0 x 0 matrix, where a function
-needs at least one entry, is a DimensionError."""
+needs at least one entry, is a DimensionError.  delta_lower_bound types its
+seed like any square matrix, and a precondition defect that overflows fails."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from ybe4.bracket import (
     BracketParams,
     bracket_R,
     bracket_to_family,
+    delta_lower_bound,
     skein_delta,
     unitary_bracket_family,
 )
@@ -27,7 +29,12 @@ from ybe4.core import (
     solution_check,
     swap_matrix,
 )
-from ybe4.errors import ConstraintViolation, DimensionError
+from ybe4.errors import (
+    ConstraintViolation,
+    DimensionError,
+    NonFiniteValue,
+    PreconditionFailed,
+)
 from ybe4.families import (
     FamilySpec,
     eigenvalue_filter,
@@ -133,6 +140,22 @@ EMPTY_CASES = [
 def test_empty_matrices_are_dimension_errors(call, message):
     with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
         call()
+
+
+SEED_CASES = [
+    # conj(N) N - I overflows to NaN: a defect that cannot be measured fails
+    ([[1e200, 1e200j], [1e200j, 1e200]], PreconditionFailed, "conj(N) is not the inverse of N"),
+    (np.ones((2, 3)), DimensionError, "expected a square matrix, got shape (2, 3)"),
+    (np.ones(4), DimensionError, "expected a square matrix, got shape (4,)"),
+    ([[INF, 0], [0, 1]], NonFiniteValue, "matrix contains non-finite entries"),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("N, error, message", SEED_CASES)
+def test_delta_lower_bound_refuses_bad_seeds(N, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        delta_lower_bound(N)
 
 
 def test_char_poly_of_an_empty_matrix_is_one():
