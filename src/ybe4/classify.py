@@ -19,8 +19,11 @@ questions about such a gate are answered here:
   Members of F2 always carry a diagonal-family certificate and are tagged
   F1.  Every accepted answer carries a reconstruction whose distance to
   the input is at most 1e-6, so the result is a checkable certificate, not
-  a heuristic label.  A certificate whose rebuild is bound to miss, by the
-  entry-modulus floor that classify describes, is not rebuilt.
+  a heuristic label.  A certificate whose rebuild is bound to miss is not
+  rebuilt: three lower bounds on the rebuild residual, described in
+  classify, decide that first.  The entry-modulus floor applies to every
+  stage; the trace floor skips the whole F4 stage, and the phase floor
+  declines the wrong F4 column order.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ __all__ = [
 
 _SWAP = swap_matrix(2)
 _EYE4 = np.eye(4)
+_SQRT2 = math.sqrt(2)
 _ACCEPT = 1e-6
 
 
@@ -158,6 +162,7 @@ class GateEntanglementReport:
 _MAGIC = np.array(
     [[1, 1j, 0, 0], [0, 0, 1j, 1], [0, 0, 1j, -1], [1, -1j, 0, 0]]
 ) / np.sqrt(2)
+_MAGIC_DAG = dagger(_MAGIC)
 
 
 def _takagi_real(S: np.ndarray) -> np.ndarray:
@@ -250,7 +255,7 @@ def is_entangling_gate(
     check_instance("tol", tol, Tolerance)
     check_instance("witness", witness, (bool, np.bool_), "a bool")
     G = _as_gate(G, tol)
-    GM = dagger(_MAGIC) @ G @ _MAGIC
+    GM = _MAGIC_DAG @ G @ _MAGIC
     S = GM.T @ GM
     if frobenius(S - np.trace(S) / 4 * _EYE4) <= tol.singular_tol / 2:
         return GateEntanglementReport(entangling=False, witness=None)
@@ -300,11 +305,13 @@ def _accept(
     message: str,
     tol: Tolerance,
 ) -> ClassificationResult | None:
-    # The rebuild residual is ||X - C||_F, and ||x| - |c|| <= |x - c| entry
-    # by entry, so the floor ||pattern - |C|||_F never exceeds it.  Above
-    # twice the acceptance bound no rounding of the two routes can close the
-    # gap, and the rebuild is not paid for.
+    # The entry-modulus and phase floors of classify: each is at most a
+    # fixed multiple of the rebuild residual ||X - C||_F.  Above twice that
+    # multiple of the acceptance bound no rounding of the two routes can
+    # close the gap, and the rebuild is not paid for.
     if frobenius(np.abs(C) - pattern) > 2 * _ACCEPT:
+        return None
+    if spec.family == "F4" and abs(C[0, 0] - C[1, 1]) > 2 * _SQRT2 * _ACCEPT:
         return None
     try:
         member = family_member(spec, tol=tol)
@@ -401,13 +408,17 @@ def _candidates(Rb: np.ndarray) -> Iterator[_Candidate]:
     """Every certificate the stages propose, in the order F5, F1, F4, F3.
 
     M = Rb P, M^2 and M^4 = M^2 M^2 are each formed once, when a stage
-    first needs them.
+    first needs them.  The F4 stage is skipped when |tr M^4|, at most 8
+    times any F4 rebuild residual (the trace floor of classify), exceeds
+    16 * _ACCEPT.
     """
     yield from _try_f5(Rb)
     M = Rb @ _SWAP
     yield from _try_f1(M)
     M2 = M @ M
-    yield from _try_f4(M, M2 @ M2)
+    M4 = M2 @ M2
+    if abs(np.trace(M4)) <= 16 * _ACCEPT:
+        yield from _try_f4(M, M4)
     yield from _try_f3(M, M2)
 
 
@@ -424,16 +435,30 @@ def classify(
     certificate's product basis (for F5, Rb itself), where the rebuild X
     has fixed entry moduli: 1 on the diagonal for F5 and F1, 1 on the
     anti-diagonal for F3, 1/sqrt2 on the eight Hadamard-like entries for
-    F4.  ||X - C||_F is the rebuild residual, and the floor
-    || |C| - |X| ||_F never exceeds it, so a certificate whose floor exceeds
-    2 * _ACCEPT is declined without calling family_member; the factor 2
-    covers the rounding between the two.  Every accepted certificate still
-    comes from the full rebuild.  Every stage reads
-    its certificate off the structure of the input in closed form, with no
-    search and no eigenvalue solver (F1, F4 and F3 take the local unitary U
-    from the realignment of M, M^4 and M^2, M = R_b P), so the result is
-    deterministic and ``rng`` is ignored (it is accepted for callers
-    written against the earlier randomized search).  The families
+    F4.  ||X - C||_F is the rebuild residual, and three floors never
+    exceed a fixed multiple of it, so a certificate is declined without
+    calling family_member when one of them reads more than twice that
+    multiple of _ACCEPT; the factor 2 covers the rounding between the two.
+
+    * entry moduli, every stage: || |C| - |X| ||_F <= ||C - X||_F, since
+      ||c| - |x|| <= |c - x| entry by entry.
+    * trace, the whole F4 stage: |tr M^4| <= 8 ||C - X||_F, since tr X^4 = 0
+      for the unitary X with X^4 = -k^4 Z (x) Z in C's basis, and
+      M^4 - X^4 = sum_a M^a (M - X) X^(3-a) with |tr(A E B)| <= 2 ||E||_F
+      for unitary 4x4 A, B.
+    * phase, each F4 candidate: |C_00 - C_11| <= sqrt2 ||C - X||_F, since
+      X_00 = X_11 = k / sqrt2 (the base pattern's diagonal is
+      (1, 1, -1, 1) / sqrt2, and the diagonal conjugation by Q keeps it).
+      It declines the wrong column order, which the moduli cannot tell
+      from the right one.
+
+    Every accepted certificate still comes from the full rebuild.  Every
+    stage reads its certificate off the structure of the input in closed
+    form, with no search and no eigenvalue solver (F1, F4 and F3 take the
+    local unitary U from the realignment of M, M^4 and M^2, M = R_b P), so
+    the result is deterministic and ``rng`` is ignored (it is accepted for
+    callers written against the earlier randomized search, and must be None
+    or a numpy Generator).  The families
     genuinely overlap, so the label is a canonical choice, not an exclusive
     one: scalars sit in several families, and every member of the
     anti-diagonal pattern with p q = 1 (all of F2, whose Q forces it, and
@@ -442,9 +467,15 @@ def classify(
     F1 stage finds first.  No member is ever tagged F2.  Inputs that are not
     unitary or not solutions (core.solution_check) are rejected with
     NotUnitary / NotASolution.  ``tol`` governs both checks and the
-    constraint checks on each certificate; it must be a Tolerance.
+    constraint checks on each certificate; it must be a Tolerance.  Raises
+    ConstraintViolation when tol is not a Tolerance or rng is neither None
+    nor a numpy Generator.
     """
     check_instance("tol", tol, Tolerance)
+    if rng is not None:
+        check_instance(
+            "rng", rng, np.random.Generator, "None or a numpy.random.Generator"
+        )
     Rb = _as_gate(Rb, tol)
     resid, bound = solution_check(Rb, "braided", tol)
     if resid > bound:

@@ -451,12 +451,20 @@ def is_unitary(A: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float
     return _is_unitary(as_square(A), tol)
 
 
+@lru_cache(maxsize=8)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity, built once per n."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _is_unitary(A: np.ndarray, tol: Tolerance) -> tuple[bool, float]:
     """is_unitary for an A that as_square has already returned."""
     n = A.shape[0]
     # entries near the float range overflow A†A; such an A is not unitary
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = frobenius(dagger(A) @ A - np.eye(n))
-    if not np.isfinite(defect):
+        defect = frobenius(dagger(A) @ A - _identity(n))
+    if not math.isfinite(defect):
         return False, float("inf")
     return defect <= tol.residual_tol * n, defect

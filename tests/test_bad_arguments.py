@@ -105,6 +105,10 @@ CASES = [
         "unknown form ['braided'], expected 'braided' or 'algebraic'",
     ),
     (lambda: is_entangling_gate(SWAP, witness="no"), "witness must be a bool, got str"),
+    (
+        lambda: classify(SWAP, rng="x"),
+        "rng must be None or a numpy.random.Generator, got str",
+    ),
     # a bool is not a number here
     (lambda: Tolerance(eq_tol=True), "eq_tol must be a real number, got bool"),
     (lambda: BracketParams(r=True), "r must be a real number, got bool"),

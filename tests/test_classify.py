@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 from itertools import combinations
 
 import numpy as np
@@ -11,8 +12,11 @@ from ybe4.classify import (
     _MAGIC,
     ClassificationResult,
     TwoQubitState,
-    _candidates,
     _takagi_real,
+    _try_f1,
+    _try_f3,
+    _try_f4,
+    _try_f5,
     _witness_weights,
     classify,
     is_entangling_gate,
@@ -533,12 +537,33 @@ def perturbed_member(rng, family, eps):
     return step @ family_member(random_family_spec(family, rng))
 
 
+def f3_member_with_pq(rng, pq):
+    """A seeded F3 member whose parameters have product pq (|pq| = 1)."""
+    base = random_family_spec("F3", rng)
+    ratio = abs(base.Q[1, 1]) ** 2 / abs(base.Q[0, 0]) ** 2
+    p = ratio * np.exp(2j * np.pi * rng.uniform())
+    return family_member(FamilySpec("F3", base.Q, base.k, {"p": p, "q": pq / p}))
+
+
+def every_candidate(Rb):
+    """(M^4, candidates): every certificate of every stage, in the order F5,
+    F1, F4, F3, with no floor applied; the F4 stage runs whatever tr M^4."""
+    M = Rb @ SWAP
+    M2 = M @ M
+    M4 = M2 @ M2
+    stages = [_try_f5(Rb), _try_f1(M), _try_f4(M, M4), _try_f3(M, M2)]
+    return M4, [candidate for stage in stages for candidate in stage]
+
+
 def test_floor_never_exceeds_rebuild_residual():
-    # the floor || |C| - |X| ||_F stands in for the rebuild residual of every
+    # the floors || |C| - |X| ||_F, and for F4 |tr M^4| / 8 and
+    # |C_00 - C_11| / sqrt2, stand in for the rebuild residual of every
     # certificate a stage proposes, both F4 column orders included; members
-    # pushed 1e-7 to 1e-5 off their family put residuals around the bound
+    # pushed 1e-7 to 1e-5 off their family put residuals around the bound,
+    # and F3 members at p q = +-i have tr M^4 = 0, so their F4 stage runs
     rng = np.random.default_rng(17)
     gates = [family_member(random_family_spec(f, rng)) for f in FAMILY_NAMES * 30]
+    gates += [f3_member_with_pq(rng, pq) for pq in (1j, -1j) * 20]
     gates += haar_gates(100)
     gates += [
         perturbed_member(rng, f, eps)
@@ -547,22 +572,29 @@ def test_floor_never_exceeds_rebuild_residual():
     ]
     residuals = {}
     for G in gates:
-        for spec, C, pattern, _ in _candidates(G):
+        M4, candidates = every_candidate(G)
+        for spec, C, pattern, _ in candidates:
             try:
                 residual = frobenius(family_member(spec) - G)
             except ConstraintViolation:
                 continue
             floor = frobenius(np.abs(C) - pattern)
             assert floor <= residual + 1e-12
+            if spec.family == "F4":
+                assert abs(np.trace(M4)) <= 8 * residual + 1e-12
+                assert abs(C[0, 0] - C[1, 1]) <= np.sqrt(2) * residual + 1e-12
             residuals.setdefault(spec.family, []).append(residual)
     assert sorted(residuals) == ["F1", "F3", "F4", "F5"]
     every = np.concatenate(list(residuals.values()))
     assert np.any((every > 1e-7) & (every < 1e-5))
+    # F4 members offer the right column order and the wrong one
+    f4 = np.array(residuals["F4"])
+    assert np.any(f4 < 1e-12) and np.any(f4 > 1)
 
 
 def classify_rebuilding_every_candidate(Rb, tol):
-    """Reference: the stage loop without the floor, one rebuild per candidate."""
-    for spec, _, _, message in _candidates(Rb):
+    """Reference: the stage loop without any floor, one rebuild per candidate."""
+    for spec, _, _, message in every_candidate(Rb)[1]:
         try:
             residual = frobenius(family_member(spec, tol=tol) - Rb)
         except ConstraintViolation:
@@ -593,6 +625,28 @@ def test_floor_declines_only_what_the_rebuild_declines():
             assert (certificate(got.spec), got.residual, got.message) == want
             tags.add(got.family)
     assert tags == {"F1", "F3", "F4", "F5", None}
+
+
+def test_each_member_is_rebuilt_once(monkeypatch):
+    # the floors decline every candidate but the winning one, so a member
+    # costs one rebuild: F4 members never rebuild the wrong column order,
+    # and F3 members skip the F4 stage, or decline it at p q = +-i
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return family_member(*args, **kwargs)
+
+    # the package rebinds ybe4.classify to the function, so patch the module
+    module = importlib.import_module("ybe4.classify")
+    monkeypatch.setattr(module, "family_member", counting)
+    rng = np.random.default_rng(23)
+    gates = [family_member(random_family_spec(f, rng)) for f in FAMILY_NAMES * 40]
+    gates += [f3_member_with_pq(rng, pq) for pq in (1j, -1j) * 10]
+    for G in gates:
+        calls.clear()
+        assert classify(G).family is not None
+        assert len(calls) == 1
 
 
 def magic_radius(G):
