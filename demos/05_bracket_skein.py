@@ -4,8 +4,10 @@ For an invertible 2x2 seed N, the rank-one operator U = N (.) N^-1
 satisfies U^2 = delta U with delta the loop value of N, so
 R = alpha I + alpha^-1 U solves the braided equation whenever
 delta = -(alpha^2 + alpha^-2).  Demanding unitarity pins delta to 2,
-alpha to i, and N to a three-parameter family; each such solution reduces
-by a triangular congruence to an anti-diagonal family member.  For n x n
+alpha to i, and N to a three-parameter family; each such solution is an
+anti-diagonal (F3) family member, certified by a FamilySpec that rebuilds
+it, and classify finds a diagonal-family (F1) certificate for the same
+matrix: skein members lie where the families overlap.  For n x n
 seeds the loop value obeys delta >= n, so nothing unitary exists beyond
 the two-dimensional case.
 """
@@ -18,6 +20,7 @@ from ybe4 import (
     BracketParams,
     bracket_to_family,
     braided_residual,
+    classify,
     delta_lower_bound,
     inverse,
     is_unitary,
@@ -39,11 +42,15 @@ def main():
     _, defect = is_unitary(R)
     print(f"solution: unitarity defect {defect:.2e}, braided residual {braided_residual(R):.2e}")
 
-    red = bracket_to_family(params)
-    print("\ncongruence Q N Q^t diagonalizes the seed:")
-    print(np.array2string(red.M, precision=4, suppress_small=True))
-    print(f"anti-diagonal parameters: |p0| = {abs(red.p0):.3f} (= r), "
-          f"|q0| = {abs(red.q0):.3f} (= 1/r), family tag {red.family}")
+    result = bracket_to_family(params)
+    spec = result.spec
+    print(f"\nF3 certificate (tag {result.family}), O the Takagi basis of N:")
+    print(np.array2string(spec.Q.real, precision=4))
+    print(f"k = {spec.k}, p = {spec.params['p']:.4f}, q = {spec.params['q']:.4f}, "
+          f"rebuild residual {result.residual:.2e}")
+    other = classify(R)
+    print(f"classify tags the same R {other.family} "
+          f"(certificate residual {other.residual:.2e})")
 
     # beyond 2x2 the loop value cannot reach 2: delta >= n for unitary-seed
     # candidates, measured here on random inverse-conjugate 3x3 matrices

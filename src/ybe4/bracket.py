@@ -14,24 +14,31 @@ conj(N) = N^-1 the loop value obeys delta - n = sum_{i<j} |N_ij - N_ji|^2,
 so delta >= n and no unitary skein solution exists beyond the flat
 delta = 2 two-dimensional case.
 
-Each unitary seed reduces, through a triangular congruence Q N Q^t = M
-with M diagonal, to a member of the anti-diagonal family with Gram-diagonal
-Q (family F3): conjugating R by Q (x) Q produces the anti-diagonal pattern
-with parameters p0 = -M00/M11 and q0 = -M11/M00 whose moduli are r and 1/r.
+The paper places these solutions in the anti-diagonal family with
+Gram-diagonal Q (family F3) through a triangular congruence Q N Q^t = M
+with M diagonal: conjugating R by Q (x) Q gives the anti-diagonal pattern
+with corners p0 = -M00/M11 and q0 = -M11/M00, of moduli r and 1/r.
+bracket_to_family certifies the same membership the way classify does,
+with a FamilySpec that family_member rebuilds: an inverse-conjugate
+symmetric N is unitary, so a real orthogonal Q (its Takagi basis)
+diagonalizes it too and leaves both corners unimodular.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .classify import ClassificationResult
 from .errors import (
     ConstraintViolation,
     DegenerateParameter,
     DimensionError,
     PreconditionFailed,
 )
+from .families import FamilySpec, family_member
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -42,12 +49,10 @@ from .linalg import (
     check_real,
     frobenius,
     inverse,
-    kron,
 )
 
 __all__ = [
     "BracketParams",
-    "BracketReduction",
     "odot",
     "loop_value",
     "skein_delta",
@@ -160,81 +165,44 @@ def delta_lower_bound(N: np.ndarray) -> tuple[complex, float]:
     return delta, float(abs(delta - n - asym))
 
 
-@dataclass(frozen=True, eq=False)
-class BracketReduction:
-    """Congruence data taking a unitary seed to the anti-diagonal family.
+def _takagi_basis(N: np.ndarray) -> np.ndarray:
+    """Real orthogonal O with O^T N O diagonal, for a symmetric unitary 2x2 N.
 
-    ``family`` is "F3" exactly when every (name, residual, bound) triple in
-    ``checks`` has residual <= bound, and "" otherwise.
+    Re N and Im N commute, so their traceless parts A and B are
+    proportional: with s the sign of <A, B>, A + s B = [[a, b], [b, -a]]
+    has their common eigenbasis at every gap, and the two never cancel.
+    That basis is the rotation by half of arctan(b / a) (a Jacobi
+    rotation), whose angle lies within pi/4, so |O_00|^2 >= 1/2 keeps the
+    corners of the F3 certificate away from zero.
     """
-
-    N: np.ndarray
-    Q: np.ndarray
-    M: np.ndarray
-    p0: complex
-    q0: complex
-    R_hat: np.ndarray
-    R_conjugated: np.ndarray
-    family: str
-    constraint_defects: tuple[float, float, float]
-    checks: tuple[tuple[str, float, float], ...]
+    x, y = (N[0, 0] - N[1, 1]) / 2, N[0, 1]
+    s = math.copysign(1.0, x.real * x.imag + y.real * y.imag)
+    a, b = x.real + s * x.imag, y.real + s * y.imag
+    half = 0.5 * math.atan2(b if a >= 0 else -b, abs(a))
+    c, t = math.cos(half), math.sin(half)
+    return np.array([[c, -t], [t, c]])
 
 
 def bracket_to_family(
     params: BracketParams, tol: Tolerance = DEFAULT_TOL
-) -> BracketReduction:
-    """Diagonalize the seed by congruence and read off the family data.
+) -> ClassificationResult:
+    """The skein member as a certified member of the anti-diagonal family F3.
 
-    Q = [[1, 0], [z, sqrt(r)]] with z = -i sqrt(1-r^2) e^{i(p/2-g)} / sqrt(r)
-    makes M = Q N Q^t exactly diagonal; conjugating the braided solution by
-    Q (x) Q yields the anti-diagonal pattern bracket_R(i, M) whose
-    parameters have moduli r and 1/r, the constraints of the Gram-diagonal
-    anti-diagonal family.  That pattern solves the braided equation for any
-    parameters, so the F3 tag needs only the three ``checks``: M is
-    diagonal, R_conj is the pattern, and the moduli meet the constraints.
-    Each bound is a ``tol`` field times the closed-form size of the
-    entries compared, taken from r rather than from the computed matrices
-    so a wrong R_conj cannot widen its own bound: eq_tol for M (moduli r
-    and 1), residual_tol and eq_tol times max(1, 1/r) for R_conj (|q0| = 1/r).
-    The scale of Q is a free choice, fixed to 1 here; Q^-1 is taken in
-    closed form.  |M00| = r |M11|, so M is singular for r <= singular_tol.
+    With O the real orthogonal Takagi basis of the seed and D = O^T N O
+    diagonal, N (.) N^-1 = (O (x) O)(D (.) D^-1)(O (x) O)^T, so the member
+    is FamilySpec("F3", O, i, {p: -D00 conj(D11), q: -D11 conj(D00)}), and
+    q = conj(p); O has Gram matrix I, so |p| = |q| = 1 are the moduli F3
+    forces.  The result is classify's: the family is "F3" exactly when
+    family_member rebuilds the member within tol.residual_tol, and None
+    otherwise, with the spec and its rebuild residual kept either way.
+    Raises ConstraintViolation unless params is a BracketParams and tol a
+    Tolerance, and when the spec misses F3's constraints under tol.
     """
-    check_instance("params", params, BracketParams)
-    check_instance("tol", tol, Tolerance)
-    if params.r <= tol.singular_tol:
-        raise DegenerateParameter(f"r = {params.r} makes the diagonal seed M singular")
-    N, R_hat = unitary_bracket_family(params)
-    r, g, p = params.r, params.g, params.p
-    z = -1j * np.sqrt(1.0 - r * r) * np.exp(1j * (p / 2.0 - g)) / np.sqrt(r)
-    Q = np.array([[1.0, 0.0], [z, np.sqrt(r)]], dtype=complex)
-    Qinv = np.array([[1.0, 0.0], [-z / np.sqrt(r), 1.0 / np.sqrt(r)]], dtype=complex)
-    M = Q @ N @ Q.T
-    p0 = -M[0, 0] / M[1, 1]
-    q0 = -M[1, 1] / M[0, 0]
-    R_conj = kron(Q, Q) @ R_hat @ kron(Qinv, Qinv)
-    ratio = abs(Q[1, 1]) ** 2 / abs(Q[0, 0]) ** 2
-    defects = (
-        float(abs(abs(p0) - ratio)),
-        float(abs(abs(q0) - 1.0 / ratio)),
-        float(abs(abs(p0 * q0) - 1.0)),
-    )
-    size = max(1.0, 1.0 / r)
-    pattern = frobenius(R_conj - bracket_R(1j, M))
-    checks = (
-        ("congruence diagonalizes", float(abs(M[0, 1]) + abs(M[1, 0])), tol.eq_tol),
-        ("anti-diagonal pattern", pattern, tol.residual_tol * size),
-        ("family constraint defect", max(defects), tol.eq_tol * size),
-    )
-    family = "F3" if all(residual <= bound for _, residual, bound in checks) else ""
-    return BracketReduction(
-        N=N,
-        Q=Q,
-        M=M,
-        p0=p0,
-        q0=q0,
-        R_hat=R_hat,
-        R_conjugated=R_conj,
-        family=family,
-        constraint_defects=defects,
-        checks=checks,
-    )
+    N, R = unitary_bracket_family(params)
+    O = _takagi_basis(N)
+    d00, d11 = np.diag(O.T @ N @ O)
+    p = -d00 * np.conj(d11)
+    spec = FamilySpec("F3", O, 1j, {"p": p, "q": np.conj(p)})
+    residual = frobenius(family_member(spec, tol=tol) - R)
+    family = "F3" if residual <= tol.residual_tol else None
+    return ClassificationResult(family, spec, residual, "Takagi basis of the seed")

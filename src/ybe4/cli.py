@@ -25,14 +25,15 @@ itself for a unitary M.
 
 bracket's "loop value is 2" and "projector relation" checks read U = I + i R
 and its loop value tr U off the solution R = i I + U / i it reports, so
-they certify the matrix it emits.
+they certify the matrix it emits.  bracket --emit-family adds the F3
+certificate of that matrix in classify's form (tag, certificate,
+certificate_residual) and one check, its rebuild residual against --res-tol.
 
 Exit codes: 0 pass, 1 check failed, 2 parse error (or a non-finite value,
 such as a residual that overflows, or a matrix file that cannot be read),
 3 dimension error, 4 constraint violation (among them a negative seed, and
 an --out-dir that names an existing file, cannot be made or has a target
-path that cannot be written), 5 not a solution (or not unitary), 6
-degenerate parameter.
+path that cannot be written), 5 not a solution (or not unitary).
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .classify import classify, is_entangling_gate
 from .core import contraction_residual, solution_check
 from .errors import (
     ConstraintViolation,
-    DegenerateParameter,
     DimensionError,
     NonFiniteValue,
     NotASolution,
@@ -89,7 +89,6 @@ _ERROR_EXIT = (
     (ConstraintViolation, 4),
     (NotASolution, 5),
     (NotUnitary, 5),
-    (DegenerateParameter, 6),
 )
 
 
@@ -334,11 +333,7 @@ def _cmd_bracket(args) -> dict:
     params = BracketParams(r=args.r, g=args.g, p=args.p)
     if args.out_dir:
         _make_out_dir(args.out_dir)
-    if args.emit_family:
-        red = bracket_to_family(params, tol)
-        N, R = red.N, red.R_hat
-    else:
-        N, R = unitary_bracket_family(params)
+    N, R = unitary_bracket_family(params)
     # R = i I + U / i, so the checks below read U and its loop value off R
     U = np.eye(4) + 1j * R
     delta = complex(np.trace(U))
@@ -357,14 +352,14 @@ def _cmd_bracket(args) -> dict:
         "solution": matrix_payload(R, {"name": "bracket_solution"}),
     }
     if args.emit_family:
-        checks.extend(_check(*check) for check in red.checks)
+        result = bracket_to_family(params, tol)
+        checks.append(
+            _check("family certificate rebuild", result.residual, tol.residual_tol)
+        )
         payload["family"] = {
-            "tag": red.family,
-            "Q": matrix_to_rows(red.Q),
-            "M": matrix_to_rows(red.M),
-            "p0": _pair(red.p0),
-            "q0": _pair(red.q0),
-            "constraint_defects": [float(d) for d in red.constraint_defects],
+            "tag": result.family,
+            "certificate": _spec_payload(result.spec),
+            "certificate_residual": float(result.residual),
         }
     if args.out_dir:
         seed_path = os.path.join(args.out_dir, "bracket_seed.json")
@@ -452,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_brk.add_argument(
         "--emit-family",
         action="store_true",
-        help="also reduce to the anti-diagonal family (needs r > 0)",
+        help="also certify the solution as an anti-diagonal family member",
     )
     p_brk.add_argument("--out-dir", default=None, help="write matrix files here")
     _add_tol_flags(p_brk, "eq_tol", "residual_tol")

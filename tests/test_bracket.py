@@ -13,6 +13,7 @@ from ybe4.bracket import (
     skein_delta,
     unitary_bracket_family,
 )
+from ybe4.classify import classify, is_entangling_gate
 from ybe4.core import braided_residual
 from ybe4.errors import (
     ConstraintViolation,
@@ -20,7 +21,8 @@ from ybe4.errors import (
     DimensionError,
     PreconditionFailed,
 )
-from ybe4.linalg import frobenius, inverse, is_unitary, kron
+from ybe4.families import family_member, validate_spec
+from ybe4.linalg import DEFAULT_TOL, Tolerance, frobenius, inverse, is_unitary, kron
 
 I2 = np.eye(2, dtype=complex)
 
@@ -194,7 +196,14 @@ def test_delta_lower_bound_rejects_general_seed():
         delta_lower_bound(np.array([[1, 2], [3, 4]], dtype=complex))
 
 
-def test_reduction_diagonalizes_seed():
+def congruence(params):
+    """The paper's triangular Q = [[1, 0], [z, sqrt r]], with Q N Q^t diagonal."""
+    r, g, p = params.r, params.g, params.p
+    z = -1j * np.sqrt(1.0 - r * r) * np.exp(1j * (p / 2.0 - g)) / np.sqrt(r)
+    return np.array([[1.0, 0.0], [z, np.sqrt(r)]], dtype=complex)
+
+
+def test_congruence_diagonalizes_seed():
     rng = np.random.default_rng(31)
     for _ in range(60):
         params = BracketParams(
@@ -202,27 +211,31 @@ def test_reduction_diagonalizes_seed():
             g=float(rng.uniform(-np.pi, np.pi)),
             p=float(rng.uniform(-np.pi, np.pi)),
         )
-        red = bracket_to_family(params)
-        off = abs(red.M[0, 1]) + abs(red.M[1, 0])
-        assert off <= 1e-10
-        assert abs(red.M[0, 0] - params.r * np.exp(1j * params.g)) <= 1e-10
-        assert abs(red.M[1, 1] - np.exp(1j * (params.p - params.g))) <= 1e-10
-        assert red.family == "F3"
-        assert max(red.constraint_defects) <= 1e-9
-        assert abs(abs(red.p0) - params.r) <= 1e-9
-        assert abs(abs(red.q0) - 1.0 / params.r) <= 1e-9
+        N, _ = unitary_bracket_family(params)
+        M = congruence(params) @ N @ congruence(params).T
+        assert abs(M[0, 1]) + abs(M[1, 0]) <= 1e-10
+        assert abs(M[0, 0] - params.r * np.exp(1j * params.g)) <= 1e-10
+        assert abs(M[1, 1] - np.exp(1j * (params.p - params.g))) <= 1e-10
+        p0, q0 = -M[0, 0] / M[1, 1], -M[1, 1] / M[0, 0]
+        assert abs(abs(p0) - params.r) <= 1e-9
+        assert abs(abs(q0) - 1.0 / params.r) <= 1e-9
 
 
-def test_reduction_conjugate_is_bracket_of_diagonal():
+def test_congruence_conjugate_is_bracket_of_diagonal():
     rng = np.random.default_rng(32)
     for _ in range(20):
-        red = bracket_to_family(random_params(rng))
-        assert frobenius(red.R_conjugated - bracket_R(1j, red.M)) <= 1e-9
+        params = random_params(rng)
+        N, R = unitary_bracket_family(params)
+        Q = congruence(params)
+        M = Q @ N @ Q.T
+        p0, q0 = -M[0, 0] / M[1, 1], -M[1, 1] / M[0, 0]
+        R_conj = kron(Q, Q) @ R @ inverse(kron(Q, Q))
+        assert frobenius(R_conj - bracket_R(1j, M)) <= 1e-9
         # anti-diagonal pattern with corners i*p0 and i*q0
-        assert abs(red.R_conjugated[0, 3] - 1j * red.p0) <= 1e-9
-        assert abs(red.R_conjugated[3, 0] - 1j * red.q0) <= 1e-9
-        assert abs(red.R_conjugated[1, 1] - 1j) <= 1e-9
-        assert abs(red.R_conjugated[2, 2] - 1j) <= 1e-9
+        assert abs(R_conj[0, 3] - 1j * p0) <= 1e-9
+        assert abs(R_conj[3, 0] - 1j * q0) <= 1e-9
+        assert abs(R_conj[1, 1] - 1j) <= 1e-9
+        assert abs(R_conj[2, 2] - 1j) <= 1e-9
 
 
 def test_congruence_compatibility_identity():
@@ -242,7 +255,7 @@ def test_congruence_compatibility_identity():
 
 
 def test_anti_diagonal_pattern_solves_for_any_parameters():
-    # why the reduction needs no equation check of its own on R_conj
+    # why the congruence lands on solutions whatever the corners p0, q0
     rng = np.random.default_rng(34)
     for _ in range(200):
         p0, q0 = crand(rng, 2) * 10.0 ** rng.uniform(-6, 6, 2)
@@ -251,40 +264,88 @@ def test_anti_diagonal_pattern_solves_for_any_parameters():
         assert braided_residual(R) <= 1e-15 * max(1.0, abs(p0), abs(q0)) ** 3
 
 
-REDUCTION_CHECKS = (
-    "congruence diagonalizes",
-    "anti-diagonal pattern",
-    "family constraint defect",
+def assert_certifies(params, tol=DEFAULT_TOL):
+    """bracket_to_family's spec is a valid F3 certificate that rebuilds R."""
+    _, R = unitary_bracket_family(params)
+    result = bracket_to_family(params, tol)
+    assert result.family == "F3", (params, result.residual)
+    assert validate_spec(result.spec, tol) == [], params
+    residual = frobenius(family_member(result.spec, tol=tol) - R)
+    assert residual == result.residual <= tol.residual_tol
+    return result
+
+
+@pytest.mark.parametrize(
+    "r", [0.0, 1e-8, 1.01e-6, 3e-6, 1e-5, 1e-4, 1e-3, 0.1, 0.5, 1.0]
 )
-
-
-@pytest.mark.parametrize("r", [1.01e-6, 3e-6, 1e-5, 1e-4, 1e-3, 0.1, 0.5, 1.0])
-def test_reduction_checks_decide_the_tag(r):
+def test_reduction_certificate_decides_the_tag(r):
     rng = np.random.default_rng(35)
-    size = max(1.0, 1.0 / r)
     for _ in range(25):
         params = BracketParams(
             r=r, g=float(rng.uniform(0, 2 * np.pi)), p=float(rng.uniform(0, 2 * np.pi))
         )
-        red = bracket_to_family(params)
-        assert tuple(name for name, _, _ in red.checks) == REDUCTION_CHECKS
-        passed = [residual <= bound for _, residual, bound in red.checks]
-        assert (red.family == "F3") == all(passed)
-        assert red.family == "F3", red.checks
-        for _, _, bound in red.checks:
-            assert bound <= 1e-9 * size * (1 + 1e-12)
+        result = assert_certifies(params)
+        # O is real orthogonal, so F3 forces unimodular corners
+        assert np.array_equal(result.spec.Q.imag, np.zeros((2, 2)))
+        assert abs(result.spec.params["p"] * result.spec.params["q"] - 1) <= 1e-12
+    # a bound below the rebuild residual declines the tag and keeps the spec
+    tight = Tolerance(residual_tol=1e-18)
+    result = bracket_to_family(params, tight)
+    assert result.family is None and result.residual > 1e-18
+    assert result.spec is not None
 
 
-def test_reduction_degenerate_radius():
-    with pytest.raises(DegenerateParameter):
-        bracket_to_family(BracketParams(r=0.0))
-    with pytest.raises(DegenerateParameter):
-        bracket_to_family(BracketParams(r=5e-10))
+def test_reduction_certifies_zero_radius():
+    # the congruence's M is singular here; the Takagi basis is not
+    for r in (0.0, 5e-10):
+        assert_certifies(BracketParams(r=r, g=0.4, p=1.1))
+
+
+@pytest.mark.parametrize("p", [2e-8, 5e-8, 1e-7])
+def test_takagi_basis_at_small_gaps(p):
+    # Re N has an eigenvalue gap of order p here, where an eigenbasis of
+    # Re N alone, split by Im N only below a fixed gap, misses the bound
+    rng = np.random.default_rng(36)
+    for _ in range(40):
+        assert_certifies(
+            BracketParams(
+                r=float(rng.uniform(0.0, 1.0)), g=float(rng.uniform(0, 2 * np.pi)), p=p
+            )
+        )
+
+
+@pytest.mark.parametrize("g", [0.0, 0.4, 2.0, np.pi])
+def test_takagi_basis_at_special_seeds(g):
+    # Re N is scalar at (0.37, 0, 0); N itself is scalar at r = 1, p = 2g
+    assert_certifies(BracketParams(r=0.37, g=0.0, p=0.0))
+    result = assert_certifies(BracketParams(r=1.0, g=g, p=2 * g))
+    assert result.spec.params["p"] == pytest.approx(-1.0)
+    # the traceless part of N is i e^{ip/2} times a real matrix, so at
+    # p = pi/2 those of Re N and Im N are opposite and their plain sum cancels
+    for r in (0.2, 0.5, 0.9):
+        assert_certifies(BracketParams(r=r, g=g + 0.3, p=np.pi / 2))
+
+
+def test_skein_members_sit_on_the_singular_locus():
+    # every skein member is also a diagonal-family member that entangles
+    # nothing, and classify names it F1, its first certifying stage
+    rng = np.random.default_rng(37)
+    draws = [random_params(rng) for _ in range(30)]
+    draws += [BracketParams(r=0.0, g=0.4, p=1.1), BracketParams(r=0.6, g=0.2, p=0.0)]
+    draws += [BracketParams(r=0.0), BracketParams(r=1.0)]
+    for params in draws:
+        assert_certifies(params)
+        _, R = unitary_bracket_family(params)
+        result = classify(R)
+        assert result.family == "F1", params
+        assert validate_spec(result.spec) == []
+        assert frobenius(family_member(result.spec) - R) <= 1e-6
+        assert not is_entangling_gate(R, witness=False).entangling, params
 
 
 def test_reduction_trivial_seed():
-    red = bracket_to_family(BracketParams(r=1.0))
-    assert np.allclose(red.Q, I2, atol=1e-15)
-    assert np.allclose(red.M, I2, atol=1e-15)
-    assert red.p0 == pytest.approx(-1.0)
-    assert red.q0 == pytest.approx(-1.0)
+    result = assert_certifies(BracketParams(r=1.0))
+    assert np.array_equal(result.spec.Q, I2)
+    assert result.spec.k == 1j
+    assert result.spec.params["p"] == pytest.approx(-1.0)
+    assert result.spec.params["q"] == pytest.approx(-1.0)

@@ -380,8 +380,14 @@ def test_bracket_emit_family(capsys):
     assert report["verdict"] == "pass"
     family = report["family"]
     assert family["tag"] == "F3"
-    assert abs(complex(*family["p0"])) == pytest.approx(0.5, abs=1e-9)
-    assert max(family["constraint_defects"]) <= 1e-9
+    assert family["certificate_residual"] <= 1e-9
+    # classify's certificate: F3, k = i, real orthogonal Q, unimodular corners
+    certificate = family["certificate"]
+    assert certificate["family"] == "F3" and certificate["k"] == [0.0, 1.0]
+    Q = rows_to_array(certificate["Q"])
+    assert np.allclose(Q.T @ Q, np.eye(2), atol=1e-12) and not Q.imag.any()
+    for name in ("p", "q"):
+        assert abs(complex(*certificate["params"][name])) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_bracket_emit_family_honours_tolerances(capsys):
@@ -390,19 +396,17 @@ def test_bracket_emit_family_honours_tolerances(capsys):
     for extra in ([], ["--eq-tol", "1e-3", "--res-tol", "1e-3"]):
         code, report, _ = run(capsys, *argv, *extra)
         assert code == 0 and report["family"]["tag"] == "F3"
-        reduction = report["checks"][-3:]
-        assert [check["name"] for check in reduction] == [
-            "congruence diagonalizes", "anti-diagonal pattern", "family constraint defect"
-        ]
-        bounds[len(extra)] = [check["bound"] for check in reduction]
-    # eq_tol for M, then residual_tol and eq_tol times max(1, 1/r) = 2
-    assert bounds[0] == [1e-9, 2e-9, 2e-9]
-    assert bounds[4] == [1e-3, 2e-3, 2e-3]
+        rebuild = report["checks"][-1]
+        assert rebuild["name"] == "family certificate rebuild"
+        bounds[len(extra)] = rebuild["bound"]
+    # the rebuild residual of a unitary member needs no scale: --res-tol itself
+    assert bounds[0] == 1e-9
+    assert bounds[4] == 1e-3
 
 
 def test_bracket_emit_family_near_singular_radius(capsys):
-    # the pattern residual here (~1e-9) sits above a fixed 1e-9 bound but far
-    # below its scale-aware bound 1e-9 / r; tag and verdict must agree
+    # the congruence's corners reach 1/r here; the certificate's stay
+    # unimodular, so its rebuild meets the fixed bound; tag and verdict agree
     code, report, _ = run(
         capsys, "bracket", "--r", "1.01e-6", "--g", "5.077165", "--p", "4.189581",
         "--emit-family",
@@ -410,13 +414,15 @@ def test_bracket_emit_family_near_singular_radius(capsys):
     assert code == 0
     assert report["verdict"] == "pass"
     assert report["family"]["tag"] == "F3"
+    assert report["family"]["certificate_residual"] <= 1e-14
 
 
 def test_bracket_degenerate_radius(capsys):
+    # r = 0 makes the congruence singular but not the certificate
     code, report, _ = run(capsys, "bracket", "--r", "0", "--emit-family")
-    assert code == 6
-    assert report["error"]["type"] == "DegenerateParameter"
-    # without the reduction r = 0 is a fine seed
+    assert code == 0
+    assert report["verdict"] == "pass"
+    assert report["family"]["tag"] == "F3"
     code, report, _ = run(capsys, "bracket", "--r", "0")
     assert code == 0
 
@@ -539,8 +545,8 @@ def test_unlisted_ybe4_error_exits_one(capsys, monkeypatch):
 
 @pytest.mark.parametrize("extra, inversions", [((), 1), (("--emit-family",), 2)])
 def test_bracket_inverts_each_seed_once(capsys, monkeypatch, extra, inversions):
-    # N for the solution, and M too when the reduction runs; the checks read
-    # U and the loop value off the solution instead of inverting N again
+    # N for the solution, and again for the member the certificate rebuilds;
+    # the checks read U and the loop value off the solution
     calls = []
 
     def counting(*args, **kwargs):
