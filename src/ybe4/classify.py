@@ -34,7 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import solution_check, swap_matrix
+from .core import solution_check
 from .errors import (
     ConstraintViolation,
     DimensionError,
@@ -44,7 +44,7 @@ from .errors import (
     NotUnitary,
     ZeroState,
 )
-from .families import FamilySpec, family_member, family_representative
+from .families import _SWAP, FamilySpec, family_member, family_representative
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -52,7 +52,7 @@ from .linalg import (
     _numeric,
     as_square,
     check_instance,
-    check_tolerance,
+    check_real,
     dagger,
     frobenius,
     kron,
@@ -69,7 +69,6 @@ __all__ = [
     "classify",
 ]
 
-_SWAP = swap_matrix(2)
 _EYE4 = np.eye(4)
 _SQRT2 = math.sqrt(2)
 _ACCEPT = 1e-6
@@ -101,7 +100,7 @@ class TwoQubitState:
         return v[0] * v[3] - v[1] * v[2]
 
     def is_product(self, tol: float = 1e-9) -> bool:
-        check_tolerance("tol", tol)
+        check_real("tol", tol, positive=True)
         return abs(self.pair_determinant) <= tol
 
     def factors(self, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:

@@ -94,20 +94,22 @@ def braided_residual(R: np.ndarray) -> float:
     return frobenius(L @ M @ L - M @ L @ M)
 
 
-def _algebraic_embeddings(R: np.ndarray, d: int):
+def algebraic_residual(R: np.ndarray) -> float:
+    """Frobenius norm of R12 R13 R23 - R23 R13 R12."""
+    R = as_square(R)
+    d = _split_dim(R)
     eye = np.eye(d, dtype=complex)
     R12 = kron(R, eye)
     R23 = kron(eye, R)
     # R13 = (I (x) P) R12 (I (x) P): swap tensor slots 2 and 3 on both sides
     R13 = R12.reshape((d,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(d ** 3, d ** 3)
-    return R12, R13, R23
-
-
-def algebraic_residual(R: np.ndarray) -> float:
-    """Frobenius norm of R12 R13 R23 - R23 R13 R12."""
-    R = as_square(R)
-    R12, R13, R23 = _algebraic_embeddings(R, _split_dim(R))
     return frobenius(R12 @ R13 @ R23 - R23 @ R13 @ R12)
+
+
+def _check_form(form) -> None:
+    """ConstraintViolation unless form is 'braided' or 'algebraic'."""
+    if not isinstance(form, str) or form not in ("braided", "algebraic"):
+        raise ConstraintViolation(f"unknown form {form!r}, expected 'braided' or 'algebraic'")
 
 
 def solution_check(
@@ -128,10 +130,7 @@ def solution_check(
     form or a tol that is not a Tolerance, and NonFiniteValue when the bound
     or the residual overflows.
     """
-    if form not in ("braided", "algebraic"):
-        raise ConstraintViolation(
-            f"unknown form {form!r}, expected 'braided' or 'algebraic'"
-        )
+    _check_form(form)
     check_instance("tol", tol, Tolerance)
     R = as_square(R)
     scale = np.abs(R).max()
@@ -179,10 +178,7 @@ def contraction_residual(R: np.ndarray, form: str = "braided") -> float:
     """
     R = as_square(R)
     d = _split_dim(R)
-    if not isinstance(form, str) or form not in _CONTRACTIONS:
-        raise ConstraintViolation(
-            f"unknown form {form!r}, expected 'braided' or 'algebraic'"
-        )
+    _check_form(form)
     T = R.reshape(d, d, d, d)
     lhs, rhs = (np.einsum(spec, T, T, T) for spec in _CONTRACTIONS[form])
     return frobenius(lhs - rhs)
@@ -199,9 +195,9 @@ def compose_with_swap(R: np.ndarray) -> np.ndarray:
 class BraidWord:
     """A word in braid group generators.
 
-    letters holds (generator index, exponent) pairs of integers; generator i
-    acts on strands i, i+1 (1-based) and the exponent must be +1 or -1.  The
-    empty word is the identity braid.
+    letters holds (generator index, exponent) pairs of integers, not bools;
+    generator i acts on strands i, i+1 (1-based) and the exponent must be +1
+    or -1.  The empty word is the identity braid.
     """
 
     n_strands: int
@@ -214,7 +210,7 @@ class BraidWord:
             if not (
                 isinstance(letter, (tuple, list))
                 and len(letter) == 2
-                and all(isinstance(v, numbers.Integral) for v in letter)
+                and all(isinstance(v, numbers.Integral) and type(v) is not bool for v in letter)
             ):
                 raise ConstraintViolation(
                     f"letters must be (generator, exponent) integer pairs, got {letter!r}"

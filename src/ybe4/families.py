@@ -31,7 +31,6 @@ flattened to a single circle.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
@@ -47,14 +46,14 @@ from .linalg import (
     as_square,
     check_instance,
     check_number,
-    check_tolerance,
+    check_real,
     dagger,
     eigenvalues,
     integer_at_least,
     inverse,
     kron,
 )
-from .core import swap_matrix
+from .core import _check_form, swap_matrix
 
 __all__ = [
     "FAMILY_NAMES",
@@ -79,6 +78,7 @@ _FAMILY_PARAMS = {"F1": ("p", "q", "r"), "F2": (), "F3": ("p", "q"), "F4": (), "
 FAMILY_NAMES = tuple(_FAMILY_PARAMS)
 
 _SWAP = swap_matrix(2)  # read-only; family_representative hands out fresh copies
+_SWAP.flags.writeable = False
 
 # np.sqrt(2) once, with the value and type the per-call np.sqrt(2) gave
 _SQRT2 = np.sqrt(2)
@@ -245,20 +245,17 @@ def _check_spec(
     _, x, y, z = _gram_entries(Q)
     scale = x + y
     qmax = np.abs(Q).max()
-    z_small = abs(z) <= tol.eq_tol * scale
     fam, pa = spec.family, spec.params
+    if fam in ("F1", "F3", "F4") and not abs(z) <= tol.eq_tol * scale:
+        out.append(f"{fam} needs Gram off-diagonal zero, got |z| = {abs(z):.3g}")
     if fam == "F1":
         for name in ("p", "q", "r"):
             if name in pa and _misses(abs(pa[name]), 1.0, tol.eq_tol):
                 out.append(f"|{name}| = {abs(pa[name]):.6g} is not 1")
-        if not z_small:
-            out.append(f"F1 needs Gram off-diagonal zero, got |z| = {abs(z):.3g}")
     elif fam == "F2":
         if abs(z) <= tol.singular_tol * scale:
             out.append("F2 needs nonvanishing Gram off-diagonal")
     elif fam == "F3":
-        if not z_small:
-            out.append(f"F3 needs Gram off-diagonal zero, got |z| = {abs(z):.3g}")
         a, d = Q[0, 0], Q[1, 1]
         if min(abs(a), abs(d)) <= tol.singular_tol * qmax:
             out.append("F3 needs nonvanishing corner entries a, d")
@@ -272,8 +269,6 @@ def _check_spec(
                         f"{want:.6g}"
                     )
     elif fam == "F4":
-        if not z_small:
-            out.append(f"F4 needs Gram off-diagonal zero, got |z| = {abs(z):.3g}")
         if _misses(abs(Q[0, 0]), abs(Q[1, 1]), tol.eq_tol * qmax):
             out.append(
                 f"F4 needs |a| = |d|, got {abs(Q[0, 0]):.6g} vs {abs(Q[1, 1]):.6g}"
@@ -290,8 +285,7 @@ def family_member(
     (each validate_spec violation but a parameter name makes the result
     non-unitary), or is not a FamilySpec, and when tol is not a Tolerance.
     """
-    if form not in ("braided", "algebraic"):
-        raise ConstraintViolation(f"unknown form {form!r}")
+    _check_form(form)
     check_instance("tol", tol, Tolerance)
     violations, Qinv = _check_spec(spec, tol)
     if violations:
@@ -365,7 +359,8 @@ def random_family_spec(family: str, rng: np.random.Generator) -> FamilySpec:
     Raises ConstraintViolation for an unknown family or an rng that is not
     a numpy Generator.
     """
-    k = _unit(_generator(rng))
+    check_instance("rng", rng, np.random.Generator, "a numpy.random.Generator")
+    k = _unit(rng)
     if family == "F1":
         Q = _sample_q_gram_diagonal(rng)
         return FamilySpec(
@@ -389,6 +384,8 @@ def random_family_spec(family: str, rng: np.random.Generator) -> FamilySpec:
 # the filter's defaults, also those of ybe4 filter --rel-tol and --samples
 _FILTER_REL_TOL = 1e-6
 _FILTER_SAMPLES = 1000
+# below this smallest-to-largest eigenvalue modulus ratio a draw is degenerate
+_DEGENERATE_RATIO = 1e-10
 
 
 def eigenvalue_filter(M: np.ndarray, rel_tol: float = _FILTER_REL_TOL) -> bool:
@@ -400,10 +397,10 @@ def eigenvalue_filter(M: np.ndarray, rel_tol: float = _FILTER_REL_TOL) -> bool:
     ratio test is meaningless, and ConstraintViolation unless rel_tol is
     finite and positive.
     """
-    check_tolerance("rel_tol", rel_tol)
+    check_real("rel_tol", rel_tol, positive=True)
     passes, singular = _filter_verdicts(as_square(M), rel_tol)
     if singular:
-        raise SingularMatrix("eigenvalue moduli ratio below 1e-10")
+        raise SingularMatrix(f"eigenvalue moduli ratio below {_DEGENERATE_RATIO:g}")
     return bool(passes)
 
 
@@ -412,7 +409,7 @@ def _filter_verdicts(M: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndar
     mods = np.abs(eigenvalues(M))
     top, low = mods.max(axis=-1), mods.min(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        singular = (top == 0) | (low / top < 1e-10)
+        singular = (top == 0) | (low / top < _DEGENERATE_RATIO)
         passes = (top - low) / top <= rel_tol
     return passes & ~singular, singular
 
@@ -450,16 +447,11 @@ class CandidateRep:
         integer >= 0.
         """
         n = integer_at_least("n", n, 0)
-        rows = _draw_params(tuple(self.sampling.values()), n, _generator(rng))
+        check_instance("rng", rng, np.random.Generator, "a numpy.random.Generator")
+        rows = _draw_params(tuple(self.sampling.values()), n, rng)
         entries = self.entries  # sampling lists its parameters in order
         stack = np.array([entries(*row) for row in rows], dtype=complex)
         return stack.reshape(n, 4, 4)
-
-
-def _generator(rng) -> np.random.Generator:
-    """rng itself; ConstraintViolation unless it is a numpy Generator."""
-    check_instance("rng", rng, np.random.Generator, "a numpy.random.Generator")
-    return rng
 
 
 @lru_cache
@@ -604,8 +596,8 @@ def case_matrix(name: str, **params: complex) -> np.ndarray:
     leading entry before the Gram condition D = 0 is examined entry by entry.
     The form of R12, R13, R21, R22, R23 or R31 is that candidate's own
     builder with its leading parameter set to 1; the keywords are the
-    builder's other parameters, each defaulting to 1.  Another name or
-    keyword raises ConstraintViolation.
+    builder's other parameters, each defaulting to 1.  Another name, another
+    keyword or a value that is not a number raises ConstraintViolation.
     """
     if name not in _CASE_FORMS:
         raise ConstraintViolation(f"no scaled case form for {name!r}")
@@ -616,6 +608,8 @@ def case_matrix(name: str, **params: complex) -> np.ndarray:
         raise ConstraintViolation(
             f"case form {name} takes only {', '.join(rest)}, got {', '.join(unknown)}"
         )
+    for key, value in params.items():
+        check_number(key, value)
     return cand.build(**{lead: 1.0}, **{key: params.get(key, 1.0) for key in rest})
 
 
@@ -638,21 +632,17 @@ def run_elimination(
     spectrum is known in closed form, and only R11 can fail: it passes only
     on the measure-zero set |p| = |q|, so its random draws all fail.
 
-    The pending draws form a first-in-first-out queue of runs (candidate,
-    draws), each candidate's in inventory order, and a degenerate draw
-    queues one redraw at the back.  Each pass takes up to _FILTER_STACK
-    draws from the front and checks them with one stacked eigenvalues
-    call.  A run's parameters are drawn as arrays and its entry lists
-    stacked as one array (CandidateRep.samples), and the pass concatenates
-    its runs; the values, the stack bytes and the generator state are
-    those of drawing one parameter at a time and building each matrix
-    alone, so the draws and counts are those of taking the queue one draw
-    at a time.  ``rel_tol`` must be a finite real number > 0.  A
-    NonConvergence names the candidate and the draw, and carries as
-    ``index`` the draw's position in that candidate's stream (from 0,
-    redraws included).
+    The pending draws are one first-in-first-out list of candidate indices,
+    one entry per draw, each candidate's in inventory order; a degenerate
+    draw appends its index at the back.  Each pass takes up to
+    _FILTER_STACK entries from the front, draws each run of one candidate
+    with one CandidateRep.samples call (bit for bit its draws one at a
+    time) and checks the pass with one stacked eigenvalues call.
+    ``rel_tol`` must be a finite real number > 0.  A NonConvergence names
+    the candidate and the draw, and carries as ``index`` the draw's
+    position in that candidate's stream (from 0, redraws included).
     """
-    check_tolerance("rel_tol", rel_tol)
+    check_real("rel_tol", rel_tol, positive=True)
     count = integer_at_least("samples", samples, 1)
     rng = np.random.default_rng(integer_at_least("seed", seed, 0))
     inventory = hietarinta_candidates()
@@ -660,18 +650,14 @@ def run_elimination(
     passes = [0] * len(inventory)
     redraws = [0] * len(inventory)
     drawn = [0] * len(inventory)
-    queue = deque(enumerate(attempts))  # runs of (candidate, draws)
-    while queue:
-        rows: list[int] = []
-        runs: list[np.ndarray] = []
-        while queue and len(rows) < _FILTER_STACK:
-            i, left = queue.popleft()
-            take = min(left, _FILTER_STACK - len(rows))
-            if take < left:
-                queue.appendleft((i, left - take))
-            rows += [i] * take
-            runs.append(inventory[i].samples(rng, take))
-        stack = np.concatenate(runs)
+    pending = [i for i, n in enumerate(attempts) for _ in range(n)]
+    front = 0
+    while front < len(pending):
+        rows = pending[front : front + _FILTER_STACK]
+        front += len(rows)
+        stack = np.concatenate(
+            [inventory[i].samples(rng, len(list(run))) for i, run in groupby(rows)]
+        )
         try:
             ok, singular = _filter_verdicts(stack, rel_tol)
         except NonConvergence as exc:
@@ -690,7 +676,7 @@ def run_elimination(
             passes[i] += good
             if bad:
                 redraws[i] += 1
-                queue.append((i, 1))
+                pending.append(i)
     report: dict[str, dict] = {
         cand.name: {
             "attempts": attempts[i],

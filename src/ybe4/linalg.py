@@ -65,17 +65,7 @@ class Tolerance:
 
     def __post_init__(self):
         for field in fields(self):
-            check_tolerance(field.name, getattr(self, field.name))
-
-
-def check_tolerance(name: str, value: float) -> None:
-    """Raise ConstraintViolation unless value is a finite positive real number.
-
-    A NaN bound fails every comparison and a negative one passes none, so
-    either would turn each check into a silent wrong verdict; a string or a
-    complex bound cannot be compared at all.
-    """
-    check_real(name, value, positive=True)
+            check_real(field.name, getattr(self, field.name), positive=True)
 
 
 # numbers.Real and numbers.Number, the common concrete types first: isinstance
@@ -86,7 +76,9 @@ _NUMBER_TYPES = (complex, float, int, np.number, numbers.Number)
 
 def check_real(name: str, value, positive: bool = False) -> None:
     """Raise ConstraintViolation unless value is a finite real number, and
-    > 0 when ``positive``; a bool is not taken as the number 0 or 1."""
+    > 0 when ``positive``; a bool is not taken as the number 0 or 1.  A NaN
+    bound fails every comparison and a negative one passes none, so either
+    would turn each check into a silent wrong verdict."""
     if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
         raise ConstraintViolation(
             f"{name} must be a real number, got {type(value).__name__}"

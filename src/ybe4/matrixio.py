@@ -32,8 +32,10 @@ accepted.
 
 Matrix files hold finite numbers only: matrix_payload, and so
 write_matrix_file, raises NonFiniteValue for a NaN or infinite entry,
-since JSON has no token for one.  write_matrix_file returns the bytes it
-wrote, so a caller can digest them without reading the file back.
+since JSON has no token for one, and ConstraintViolation for metadata that
+is not a dict; write_matrix_file refuses metadata that json cannot encode
+with sorted keys the same way, before it opens the file.  It returns the
+bytes it wrote, so a caller can digest them without reading the file back.
 
 read_matrix_file reads the file's bytes once and decodes them as UTF-8
 itself; it maps every failure to read the file (missing, a directory,
@@ -55,8 +57,8 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ParseError
-from .linalg import _numeric, as_square
+from .errors import ConstraintViolation, ParseError
+from .linalg import _numeric, as_square, check_instance
 
 __all__ = [
     "MATRIX_FILE_VERSION",
@@ -124,8 +126,11 @@ def rows_to_matrix(rows: Any) -> np.ndarray:
 
 
 def matrix_payload(M: np.ndarray, metadata: dict | None = None) -> dict:
-    """Raises DimensionError unless M is square, NonFiniteValue unless finite."""
+    """Raises DimensionError unless M is square, NonFiniteValue unless finite,
+    and ConstraintViolation unless metadata is None or a dict."""
     M = as_square(M)
+    if metadata is not None:
+        check_instance("metadata", metadata, dict)
     payload: dict = {
         "version": MATRIX_FILE_VERSION,
         "dim": int(M.shape[0]),
@@ -184,7 +189,10 @@ def write_matrix_file(path: str, M: np.ndarray, metadata: dict | None = None) ->
     payload = matrix_payload(M, metadata)
     fields = [f'"dim": {json.dumps(payload["dim"])}']
     if "metadata" in payload:
-        block = json.dumps(payload["metadata"], indent=2, sort_keys=True)
+        try:
+            block = json.dumps(payload["metadata"], indent=2, sort_keys=True)
+        except (TypeError, ValueError) as exc:
+            raise ConstraintViolation(f"metadata is not JSON encodable: {exc}") from None
         fields.append('"metadata": ' + block.replace("\n", "\n  "))
     fields.append(f'"rows": {_rows_text(payload["rows"])}')
     fields.append(f'"version": {json.dumps(payload["version"])}')

@@ -37,13 +37,14 @@ from ybe4.errors import (
 )
 from ybe4.families import (
     FamilySpec,
+    case_matrix,
     eigenvalue_filter,
     family_member,
     run_elimination,
     validate_spec,
 )
 from ybe4.linalg import Tolerance, char_poly, eigenvalues, inverse, is_unitary
-from ybe4.matrixio import matrix_to_rows
+from ybe4.matrixio import matrix_payload, matrix_to_rows, write_matrix_file
 
 SWAP = swap_matrix(2)
 I2 = np.eye(2)
@@ -87,6 +88,10 @@ CASES = [
     (lambda: PRODUCT.factors("x"), "tol must be a real number, got str"),
     (lambda: is_product_state([1, 0, 0, 0], "x"), "tol must be a real number, got str"),
     (lambda: matrix_to_rows("ab"), "expected an array of numbers, got str"),
+    (lambda: matrix_payload(SWAP, "ab"), "metadata must be a dict, got str"),
+    (lambda: matrix_payload(SWAP, [("a", 1)]), "metadata must be a dict, got list"),
+    (lambda: case_matrix("R12", q="a"), "q must be a number, got str"),
+    (lambda: case_matrix("R13", p=[1, 2]), "p must be a number, got list"),
     (
         lambda: FamilySpec("F1", I2, params={"p": "a", "q": 1, "r": 1}),
         "p must be a number, got str",
@@ -99,10 +104,6 @@ CASES = [
     (
         lambda: braid_rep(SWAP, BraidWord(3, ((1, 1),)), max_strands="6"),
         "max_strands must be an integer >= 2, got '6'",
-    ),
-    (
-        lambda: contraction_residual(SWAP, ["braided"]),
-        "unknown form ['braided'], expected 'braided' or 'algebraic'",
     ),
     (lambda: is_entangling_gate(SWAP, witness="no"), "witness must be a bool, got str"),
     (
@@ -121,6 +122,15 @@ CASES = [
     ),
     (lambda: skein_delta(True), "alpha must be a number, got bool"),
     (lambda: bracket_R(True, I2), "alpha must be a number, got bool"),
+    (lambda: case_matrix("R12", k=True), "k must be a number, got bool"),
+    (
+        lambda: BraidWord(3, ((True, 1),)),
+        "letters must be (generator, exponent) integer pairs, got (True, 1)",
+    ),
+    (
+        lambda: BraidWord(3, ((1, True),)),
+        "letters must be (generator, exponent) integer pairs, got (1, True)",
+    ),
 ]
 
 
@@ -128,6 +138,38 @@ CASES = [
 def test_wrong_argument_types_are_constraint_violations(call, message):
     with pytest.raises(ConstraintViolation, match=f"^{re.escape(message)}$"):
         call()
+
+
+METADATA_CASES = [
+    ("ab", "metadata must be a dict, got str"),
+    ([("a", 1)], "metadata must be a dict, got list"),
+    ({1: "a", "b": 2}, "metadata is not JSON encodable: "),
+    ({"x": np.float32(1)}, "metadata is not JSON encodable: "),
+    ({"x": object()}, "metadata is not JSON encodable: "),
+]
+
+
+@pytest.mark.parametrize("metadata, message", METADATA_CASES)
+def test_bad_metadata_is_refused_before_a_file_is_created(tmp_path, metadata, message):
+    path = tmp_path / "m.json"
+    with pytest.raises(ConstraintViolation, match=f"^{re.escape(message)}"):
+        write_matrix_file(str(path), SWAP, metadata)
+    assert not path.exists()
+
+
+FORM_CHECKS = [
+    lambda form: solution_check(SWAP, form),
+    lambda form: contraction_residual(SWAP, form),
+    lambda form: family_member(F5, form),
+]
+
+
+@pytest.mark.parametrize("form", ["x", ["braided"]])
+@pytest.mark.parametrize("call", FORM_CHECKS)
+def test_unknown_form_is_one_message(call, form):
+    message = f"unknown form {form!r}, expected 'braided' or 'algebraic'"
+    with pytest.raises(ConstraintViolation, match=f"^{re.escape(message)}$"):
+        call(form)
 
 
 EMPTY = "expected at least a 1 x 1 matrix, got shape "

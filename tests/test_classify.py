@@ -686,3 +686,52 @@ def test_scalar_s_exit_keeps_the_spectrum_verdict(tol, near_straddle):
     assert all(exits[len(near):])
     near_exits = sum(exits[: len(near)])
     assert (0 < near_exits < len(near)) if near_straddle else near_exits == 0
+
+
+def entangles(spec: FamilySpec) -> bool:
+    """Which members entangle, read off the spec alone: F1 iff p q != r, F3
+    iff p q != 1, F4 always, F2 and F5 never.  An oracle for the tests;
+    ``is_entangling_gate`` keeps its witness as the certificate."""
+    pa = spec.params
+    if spec.family == "F1":
+        return abs(pa["p"] * pa["q"] - pa["r"]) > 1e-12
+    if spec.family == "F3":
+        return abs(pa["p"] * pa["q"] - 1) > 1e-12
+    return spec.family == "F4"
+
+
+def with_special_products(spec: FamilySpec) -> list[FamilySpec]:
+    """spec, and for F1 and F3 the same Q and k at the exact points
+    p q = r and p q = -r (F1), p q = 1 and p q = -1 (F3)."""
+    pa = spec.params
+    if spec.family == "F1":
+        pq = pa["p"] * pa["q"]
+        edits = [{"r": pq}, {"r": -pq}]
+    elif spec.family == "F3":
+        edits = [{"q": 1 / pa["p"]}, {"q": -1 / pa["p"]}]
+    else:
+        edits = []
+    return [spec] + [FamilySpec(spec.family, spec.Q, spec.k, pa | e) for e in edits]
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_entangling_members_match_closed_form_predicate(family):
+    # 360 seeded members of each family, a third of F1's and F3's on the
+    # exact products p q = +-r and p q = +-1; the random draws stay clear of
+    # the band |p q - r| ~ singular_tol where the verdict flips
+    rng = np.random.default_rng(39)
+    draws = 120 if family in ("F1", "F3") else 360
+    seen = set()
+    for _ in range(draws):
+        base = random_family_spec(family, rng)
+        if family in ("F1", "F3"):
+            target = base.params["r"] if family == "F1" else 1
+            assert abs(base.params["p"] * base.params["q"] - target) > 1e-3
+        for spec in with_special_products(base):
+            want = entangles(spec)
+            seen.add(want)
+            for form in ("braided", "algebraic"):
+                report = is_entangling_gate(family_member(spec, form), witness=False)
+                assert report.entangling == want, (spec.params, form)
+    # F1 and F3 show both verdicts; the other families show their one verdict
+    assert seen == ({True, False} if family in ("F1", "F3") else {entangles(base)})

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from ybe4.errors import DimensionError, NonFiniteValue, ParseError
+from ybe4.errors import ConstraintViolation, DimensionError, NonFiniteValue, ParseError
 from ybe4.matrixio import (
     _checked_rows_to_matrix,
     matrix_payload,
@@ -245,7 +245,7 @@ def test_directory_path_raises_and_leaves_no_descriptor(tmp_path):
 def test_unserialisable_metadata_raises_before_opening(tmp_path):
     path = tmp_path / "m.json"
     path.write_bytes(b"old")
-    with pytest.raises(TypeError):
+    with pytest.raises(ConstraintViolation, match="^metadata is not JSON encodable: "):
         write_matrix_file(str(path), np.eye(2), {"bad": object()})
     assert path.read_bytes() == b"old"
 
